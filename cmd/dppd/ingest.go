@@ -18,18 +18,15 @@ import (
 	"dsi/internal/warehouse"
 )
 
-// runIngest hosts the closed streaming loop in one process: a serving
-// simulator logs feature/event pairs into Scribe, a continuously running
-// ETL joins them and seals DWRF partitions into an unbounded table, and
-// an unbounded training session tails the table live over TCP loopback —
-// the master discovering partitions as they seal, the session ending
-// only when the producer closes the stream. Prints the session's
+// runIngestDemo hosts the closed streaming loop in one process: a
+// serving simulator logs feature/event pairs into Scribe, a continuously
+// running ETL joins them and seals DWRF partitions into an unbounded
+// table, and an unbounded session of a served Service tails the table
+// live over TCP loopback — its master discovering partitions as they
+// seal, two fleet workers serving it on framed streams, the session
+// ending only when the producer closes the stream. Prints the session's
 // event-time→trainer freshness accounting at the end.
-func runIngestDemo(model string, seed int64, requests, partitionRows int, dataplane string, writeFaultSeed int64) {
-	dial, err := dpp.DataPlaneDialer(dataplane)
-	if err != nil {
-		log.Fatal(err)
-	}
+func runIngestDemo(model string, seed int64, requests, partitionRows int, writeFaultSeed int64) {
 	p, err := datagen.ProfileByName(model)
 	if err != nil {
 		log.Fatal(err)
@@ -119,50 +116,60 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, datapl
 		SparseOut: []schema.FeatureID{schema.FeatureID(spec.DenseFeats + 1)},
 		BatchSize: 64,
 		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-		DataPlane: dataplane,
+		DataPlane: dpp.DataPlaneFramed,
 	}
-	m, err := dpp.NewMaster(wh, session)
+	const sessionID = "ingest"
+	svc := dpp.NewService(wh)
+	if err := svc.CreateSession(sessionID, session); err != nil {
+		log.Fatal(err)
+	}
+	m, err := svc.Master(sessionID)
 	if err != nil {
 		log.Fatal(err)
 	}
 	baseline := len(m.DiscoveredPartitions())
-	mln, stopM, err := dpp.ServeMaster(m, "127.0.0.1:0")
+	ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer stopM()
-	log.Printf("dppd ingest: unbounded session on %s, %d partitions visible at start", mln.Addr(), baseline)
+	defer stopService()
+	log.Printf("dppd ingest: unbounded session on %s, %d partitions visible at start", ln.Addr(), baseline)
+	rs, err := dpp.DialService(ln.Addr().String())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer rs.Close()
 
-	var workers sync.WaitGroup
+	// Two fleet workers. One fair-share pass before they run assigns
+	// the session to both, so their first heartbeats start its
+	// pipelines.
+	var workers []*dpp.FleetWorker
 	for i := 0; i < 2; i++ {
-		remote, err := dpp.DialMaster(mln.Addr().String())
+		fw, stopServe, err := dpp.ListenAndServeFleetWorker(fmt.Sprintf("ingest-w%d", i), "127.0.0.1:0", rs, wh, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		w, stopW, err := dpp.ListenAndServeWorker(fmt.Sprintf("ingest-w%d", i), "127.0.0.1:0", remote, wh, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		workers.Add(1)
-		go func(w *dpp.Worker, stopW func(), remote *dpp.RemoteMaster) {
-			defer workers.Done()
-			defer remote.Close()
-			defer stopW()
-			if err := w.Run(nil); err != nil {
-				log.Fatal(err)
+		defer stopServe()
+		workers = append(workers, fw)
+	}
+	svc.Rebalance()
+	stopFleet := make(chan struct{})
+	var fleet sync.WaitGroup
+	for _, fw := range workers {
+		fleet.Add(1)
+		go func() {
+			defer fleet.Done()
+			if err := fw.Run(stopFleet); err != nil {
+				log.Printf("dppd ingest: fleet worker %s: %v", fw.ID, err)
 			}
-			if err := w.Retire(nil); err != nil {
-				log.Printf("dppd ingest: retire %s: %v", w.ID, err)
-			}
-		}(w, stopW, remote)
+		}()
 	}
 
-	remote, err := dpp.DialMaster(mln.Addr().String())
+	dial, err := dpp.SessionWorkerDialer(dpp.DataPlaneFramed, sessionID)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer remote.Close()
-	client, err := dpp.NewSessionClient(remote, dial, 0, 0)
+	client, err := dpp.NewTenantClient(rs, sessionID, dial, 0, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -187,7 +194,9 @@ func runIngestDemo(model string, seed int64, requests, partitionRows int, datapl
 	if err := <-etlDone; err != nil {
 		log.Fatal(err)
 	}
-	workers.Wait()
+	// Every row is consumed: stop the fleet workers.
+	close(stopFleet)
+	fleet.Wait()
 
 	discovered := m.DiscoveredPartitions()
 	fs := m.Freshness()

@@ -42,18 +42,19 @@
 // frames over one credit-windowed TCP stream per client instead of
 // answering unary gob RPCs, eliminating the per-batch round trip and
 // the reflection-driven (de)serialization share of the paper's
-// "datacenter tax" (§6.2). Both encodings are served on every worker
-// listener (protocol-sniffed), clients fall back to gob unary for old
-// workers, cmd/dppd selects with -dataplane=framed|gob, and
-// CostParams.FramedTaxCyclesPerByte lets the resource model price the
-// cheaper encoding. BenchmarkDPPWireFormat measures the delta
-// (reference run: BENCH_wire.json — ~3.5x per-batch latency and ~99%
-// less garbage on the standard session shape).
+// "datacenter tax" (§6.2). The framed stream is the only wire: a
+// listener serves nothing else, and a failed handshake is an error, not
+// a fallback. CostParams.FramedTaxCyclesPerByte lets the resource model
+// price the cheaper encoding beside the modelled gob/Thrift tax.
+// BenchmarkDPPWireFormat measures the wire (reference run:
+// BENCH_wire.json — ~3.5x lower per-batch latency and ~99% less garbage
+// than the unary gob transport it replaced, on the standard session
+// shape).
 //
 // The DPP control plane closes the paper's auto-scaling loop (§3.2.1):
 // a dpp.Orchestrator periodically evaluates worker heartbeats and
 // launches or drains workers through a WorkerLauncher (in-process
-// goroutines or RPC-served TCP workers), with cooldown hysteresis on a
+// goroutines, or fleet workers served over TCP), with cooldown hysteresis on a
 // virtual clock so tests drive the controller deterministically.
 // Workers register a data-plane endpoint, receive a graceful drain
 // signal, retire by serving out their buffers, and deregister; clients
@@ -82,8 +83,8 @@
 // and trainer clients deduplicate the redelivered overlap when a
 // crashed worker's requeued leases re-run — the crash fault-injection
 // harness (Worker.Crash, the fleet launchers' Crash) and the EndToEnd
-// crash/multi-tenant checksum tests pin the guarantee on both data
-// planes. The "multitenant" experiment measures weighted fair sharing
+// crash/multi-tenant checksum tests pin the guarantee on the framed
+// data plane. The "multitenant" experiment measures weighted fair sharing
 // with real concurrent sessions over one fleet.
 //
 // The ingestion path closes the loop of §3.1 as a live stream: serving

@@ -27,8 +27,8 @@ type e2eFixture struct {
 }
 
 // buildE2EFixture writes a two-partition RM1-profile table and digests
-// the ground truth, mirroring the elastic e2e tests above.
-func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, plane string) e2eFixture {
+// the ground truth, mirroring the elastic e2e test.
+func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int) e2eFixture {
 	t.Helper()
 	const partitions = 2
 	p, err := datagen.ProfileByName("RM1")
@@ -91,7 +91,7 @@ func buildE2EFixture(t *testing.T, table string, seed int64, rowsPerPart int, pl
 			SparseOut: []schema.FeatureID{sparseA, sparseB, hashedOut},
 			BatchSize: 16,
 			Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-			DataPlane: plane,
+			DataPlane: dpp.DataPlaneFramed,
 		},
 		want:      want,
 		rows:      partitions * rowsPerPart,
@@ -128,116 +128,114 @@ func crashFirstLive(t *testing.T, launcher *dpp.RPCFleetLauncher, prefix string)
 }
 
 // TestEndToEndChecksumWorkerCrash proves exactly-once delivery across a
-// non-graceful worker death on both data planes: a fleet worker is
+// non-graceful worker death on the framed data plane: a fleet worker is
 // crash-killed mid-stream (no drain, no deregistration, data plane
 // severed), the master's reap loop requeues its unfinished leases, a
 // replacement re-runs them, and the trainer's (split, seq) dedup drops
 // the redelivered overlap — so row counts and content checksums still
 // match the generated data exactly.
 func TestEndToEndChecksumWorkerCrash(t *testing.T) {
-	for _, plane := range []string{dpp.DataPlaneFramed, dpp.DataPlaneGob} {
-		t.Run(plane, func(t *testing.T) {
-			fx := buildE2EFixture(t, "crash-"+plane, 29, 512, plane)
-			svc := dpp.NewService(fx.wh)
-			svc.FleetLeaseTimeout = 150 * time.Millisecond
-			const sessionID = "job"
-			if err := svc.CreateSession(sessionID, fx.session); err != nil {
-				t.Fatal(err)
-			}
-			m, err := svc.Master(sessionID)
+	t.Run(dpp.DataPlaneFramed, func(t *testing.T) {
+		fx := buildE2EFixture(t, "crash-framed", 29, 512)
+		svc := dpp.NewService(fx.wh)
+		svc.FleetLeaseTimeout = 150 * time.Millisecond
+		const sessionID = "job"
+		if err := svc.CreateSession(sessionID, fx.session); err != nil {
+			t.Fatal(err)
+		}
+		m, err := svc.Master(sessionID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.LeaseTimeout = 100 * time.Millisecond
+
+		ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stopService()
+
+		launcher := &dpp.RPCFleetLauncher{
+			ServiceAddr:    ln.Addr().String(),
+			WH:             fx.wh,
+			HeartbeatEvery: time.Millisecond,
+			Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
+		}
+		o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
+		o.ScaleInterval = time.Millisecond
+		o.ScaleUpCooldown = time.Millisecond
+		o.ScaleDownCooldown = 3 * time.Millisecond
+		stop := make(chan struct{})
+		runDone := make(chan error, 1)
+		go func() { runDone <- o.Run(stop) }()
+
+		rs, err := dpp.DialService(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rs.Close()
+		dial, err := dpp.SessionWorkerDialer(dpp.DataPlaneFramed, sessionID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := dpp.NewTenantClient(rs, sessionID, dial, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.RefreshEvery = 500 * time.Microsecond
+
+		got := tensor.NewContentSum()
+		batches := 0
+		consume := func() bool {
+			b, ok, err := client.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.LeaseTimeout = 100 * time.Millisecond
+			if !ok {
+				return false
+			}
+			batches++
+			got.AddBatch(b)
+			b.Release()
+			return true
+		}
 
-			ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
+		// Consume part of the session, then let worker buffers and
+		// stream windows fill so the crash strands real inventory.
+		for batches < 12 {
+			if !consume() {
+				t.Fatalf("session ended after only %d batches", batches)
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		crashed := crashFirstLive(t, launcher, o.IDPrefix)
+		t.Logf("crashed fleet worker %s mid-stream", crashed)
+
+		// Consume the rest across the crash: fetch errors drop the
+		// dead connection, the reap requeues its splits, and the
+		// replacement re-delivers them.
+		for consume() {
+		}
+
+		close(stop)
+		select {
+		case err := <-runDone:
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer stopService()
+		case <-time.After(60 * time.Second):
+			t.Fatal("fleet controller did not stop")
+		}
 
-			launcher := &dpp.RPCFleetLauncher{
-				ServiceAddr:    ln.Addr().String(),
-				WH:             fx.wh,
-				HeartbeatEvery: time.Millisecond,
-				Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
-			}
-			o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(2, 3))
-			o.ScaleInterval = time.Millisecond
-			o.ScaleUpCooldown = time.Millisecond
-			o.ScaleDownCooldown = 3 * time.Millisecond
-			stop := make(chan struct{})
-			runDone := make(chan error, 1)
-			go func() { runDone <- o.Run(stop) }()
-
-			rs, err := dpp.DialService(ln.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rs.Close()
-			dial, err := dpp.SessionWorkerDialer(plane, sessionID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			client, err := dpp.NewTenantClient(rs, sessionID, dial, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			client.RefreshEvery = 500 * time.Microsecond
-
-			got := tensor.NewContentSum()
-			batches := 0
-			consume := func() bool {
-				b, ok, err := client.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					return false
-				}
-				batches++
-				got.AddBatch(b)
-				b.Release()
-				return true
-			}
-
-			// Consume part of the session, then let worker buffers and
-			// stream windows fill so the crash strands real inventory.
-			for batches < 12 {
-				if !consume() {
-					t.Fatalf("session ended after only %d batches", batches)
-				}
-			}
-			time.Sleep(50 * time.Millisecond)
-			crashed := crashFirstLive(t, launcher, o.IDPrefix)
-			t.Logf("crashed fleet worker %s mid-stream", crashed)
-
-			// Consume the rest across the crash: fetch errors drop the
-			// dead connection, the reap requeues its splits, and the
-			// replacement re-delivers them.
-			for consume() {
-			}
-
-			close(stop)
-			select {
-			case err := <-runDone:
-				if err != nil {
-					t.Fatal(err)
-				}
-			case <-time.After(60 * time.Second):
-				t.Fatal("fleet controller did not stop")
-			}
-
-			infos, err := rs.ListSessions()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(infos) != 1 || !infos[0].Done {
-				t.Fatalf("session registry at end = %+v, want one Done session", infos)
-			}
-			assertExactDelivery(t, fx, got, plane+" trainer")
-		})
-	}
+		infos, err := rs.ListSessions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 1 || !infos[0].Done {
+			t.Fatalf("session registry at end = %+v, want one Done session", infos)
+		}
+		assertExactDelivery(t, fx, got, "trainer")
+	})
 }
 
 // TestEndToEndMultiTenantFleetChecksums is the acceptance scenario:
@@ -251,7 +249,7 @@ func TestEndToEndChecksumWorkerCrash(t *testing.T) {
 // deterministically on the virtual clock in
 // dpp.TestFleetFairShareConvergenceVirtualClock.)
 func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
-	fx := buildE2EFixture(t, "mt", 31, 768, dpp.DataPlaneFramed)
+	fx := buildE2EFixture(t, "mt", 31, 768)
 	weights := map[string]float64{"s1": 1, "s2": 2, "s3": 3}
 	sessionIDs := []string{"s1", "s2", "s3"}
 
@@ -419,6 +417,21 @@ func TestEndToEndMultiTenantFleetChecksums(t *testing.T) {
 	}
 	for _, id := range sessionIDs {
 		assertExactDelivery(t, fx, sums[id], "tenant "+id)
+	}
+	// Every pipeline, drained, stopped or crashed, has left its
+	// session's membership.
+	for _, id := range sessionIDs {
+		m, err := svc.Master(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps, err := m.ListWorkers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(eps) != 0 {
+			t.Fatalf("session %s membership after the fleet drained = %+v, want empty", id, eps)
+		}
 	}
 	// Tenants leave; the registry and the fleet's assignments empty out.
 	for _, id := range sessionIDs {

@@ -394,110 +394,61 @@ func TestEndToEndElasticSessionChecksums(t *testing.T) {
 }
 
 // TestEndToEndElasticSessionChecksumsFramed is the elastic exactly-once
-// test over the framed streaming data plane: the master serves RPC over
-// real TCP loopback, the Orchestrator launches TCP workers
-// (RPCLauncher), and the trainer-side client streams length-prefixed
-// batch frames with credit flow control instead of unary gob fetches.
-// Scale-up, drain-down, worker deregistration, and the client's
-// window-rescue on connection removal must all preserve exactly-once
-// delivery — asserted by row counts and order-independent feature
-// checksums.
+// test over the framed streaming data plane on the served stack: one
+// session is submitted to a Service served over real TCP loopback, a
+// fleet controller launches TCP fleet workers, and the trainer-side
+// tenant client streams length-prefixed batch frames with credit flow
+// control. Scale-up, drain-down, worker deregistration, and the
+// client's window-rescue on connection removal must all preserve
+// exactly-once delivery — asserted by row counts and order-independent
+// feature checksums.
 func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
-	const (
-		partitions  = 2
-		rowsPerPart = 768
-		batchSize   = 16
-	)
-	p, err := datagen.ProfileByName("RM1")
+	fx := buildE2EFixture(t, "e2e-framed", 13, 1536)
+	// Serial workers, so a trainer consuming at full speed reliably
+	// outpaces one of them and the controller sees starvation.
+	fx.session.Pipeline.Sequential = true
+	const sessionID = "s1"
+
+	svc := dpp.NewService(fx.wh)
+	svc.FleetLeaseTimeout = 150 * time.Millisecond
+	ln, stopService, err := dpp.ServeService(svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := p.Scale(0.01, partitions, rowsPerPart)
-	gen := datagen.NewGenerator(spec, 13)
-
-	cluster, err := tectonic.NewCluster(tectonic.Options{Nodes: 4, Replication: 2})
+	defer stopService()
+	rs, err := dpp.DialService(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wh := warehouse.New(cluster)
-	tbl, err := wh.CreateTable("e2e-framed", spec.BuildSchema(), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 64})
+	defer rs.Close()
+	if err := rs.CreateSession(sessionID, fx.session); err != nil {
+		t.Fatal(err)
+	}
+	m, err := svc.Master(sessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	denseA, denseB := schema.FeatureID(1), schema.FeatureID(2)
-	sparseA := schema.FeatureID(spec.DenseFeats + 1)
-	sparseB := schema.FeatureID(spec.DenseFeats + 2)
-	const (
-		hashedOut = schema.FeatureID(1 << 20)
-		hashMax   = int64(1) << 16
-	)
-
-	want := tensor.NewContentSum()
-	for part := 0; part < partitions; part++ {
-		pw, err := tbl.NewPartition(fmt.Sprintf("2026-07-%02d", part+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < rowsPerPart; i++ {
-			s := gen.Sample()
-			if err := pw.WriteRow(s); err != nil {
-				t.Fatal(err)
-			}
-			want.Rows++
-			want.AddLabel(s.Label)
-			want.AddDense(denseA, s.DenseFeatures[denseA])
-			want.AddDense(denseB, s.DenseFeatures[denseB])
-			want.AddSparse(sparseA, s.SparseFeatures[sparseA])
-			want.AddSparse(sparseB, s.SparseFeatures[sparseB])
-		}
-		if err := pw.Close(); err != nil {
-			t.Fatal(err)
-		}
+	launcher := &dpp.RPCFleetLauncher{
+		ServiceAddr:    ln.Addr().String(),
+		WH:             fx.wh,
+		HeartbeatEvery: time.Millisecond,
+		Tune:           func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
 	}
-
-	session := dpp.SessionSpec{
-		Table:    "e2e-framed",
-		Features: []schema.FeatureID{denseA, denseB, sparseA, sparseB},
-		Ops: []transforms.Op{
-			&transforms.SigridHash{In: sparseA, Out: hashedOut, Salt: 3, MaxValue: hashMax},
-		},
-		DenseOut:  []schema.FeatureID{denseA, denseB},
-		SparseOut: []schema.FeatureID{sparseA, sparseB, hashedOut},
-		BatchSize: batchSize,
-		Read:      dwrf.ReadOptions{CoalesceBytes: dwrf.DefaultCoalesceBytes, Flatmap: true},
-		DataPlane: dpp.DataPlaneFramed,
-	}
-	m, err := dpp.NewMaster(wh, session)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mln, stopMaster, err := dpp.ServeMaster(m, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopMaster()
-
-	launcher := &dpp.RPCLauncher{
-		MasterAddr: mln.Addr().String(),
-		WH:         wh,
-		Tune:       func(w *dpp.Worker) { w.HeartbeatEvery = time.Millisecond },
-		OnError:    func(id string, err error) { t.Errorf("worker %s: %v", id, err) },
-	}
-	o := dpp.NewOrchestrator(m, launcher, dpp.NewAutoScaler(1, 4))
+	o := dpp.NewFleetOrchestrator(svc, launcher, dpp.NewAutoScaler(1, 4))
 	o.ScaleInterval = time.Millisecond
 	o.ScaleUpCooldown = time.Millisecond
 	o.ScaleDownCooldown = 3 * time.Millisecond
 	o.CheckpointEvery = 10 * time.Millisecond
+	stop := make(chan struct{})
 	runDone := make(chan error, 1)
-	go func() { runDone <- o.Run(nil) }()
+	go func() { runDone <- o.Run(stop) }()
 
-	remote, err := dpp.DialMaster(mln.Addr().String())
+	dial, err := dpp.SessionWorkerDialer(dpp.DataPlaneFramed, sessionID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer remote.Close()
-	client, err := dpp.NewSessionClient(remote, dpp.DialWorkerEndpointFramed, 0, 0)
+	client, err := dpp.NewTenantClient(rs, sessionID, dial, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,8 +464,8 @@ func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 		if !ok {
 			return false
 		}
-		if b.Rows > batchSize {
-			t.Fatalf("batch of %d rows exceeds batch size %d", b.Rows, batchSize)
+		if b.Rows > fx.session.BatchSize {
+			t.Fatalf("batch of %d rows exceeds batch size %d", b.Rows, fx.session.BatchSize)
 		}
 		batches++
 		got.AddBatch(b)
@@ -522,29 +473,30 @@ func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 		return true
 	}
 
-	// Phase 1: consume as fast as possible until the pool scales up.
-	for o.Status().Peak < 2 && batches < 60 {
+	// Phase 1: consume as fast as possible until the fleet grows.
+	for o.Status().Peak < 2 && batches < 80 {
 		if !consume() {
 			t.Fatalf("session ended during scale-up phase after %d batches", batches)
 		}
 	}
-	// Phase 2: pause so buffers fill, data planes idle, and the loop
-	// drains workers; drained workers retire once phase 3 empties them.
+	// Phase 2: the trainer pauses; buffers fill and the controller
+	// drains oversupply.
 	drainDeadline := time.Now().Add(20 * time.Second)
 	for o.Status().Drained == 0 && time.Now().Before(drainDeadline) {
 		time.Sleep(time.Millisecond)
 	}
-	// Phase 3: consume the rest of the session over the streams.
+	// Phase 3: consume the rest of the session.
 	for consume() {
 	}
 
+	close(stop)
 	select {
 	case err := <-runDone:
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(120 * time.Second):
-		t.Fatal("orchestrator did not finish")
+	case <-time.After(60 * time.Second):
+		t.Fatal("fleet controller did not stop")
 	}
 
 	st := o.Status()
@@ -559,15 +511,10 @@ func TestEndToEndElasticSessionChecksumsFramed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(eps) != 0 {
-		t.Fatalf("drained workers leaked in master membership: %+v", eps)
+		t.Fatalf("drained workers leaked in session membership: %+v", eps)
 	}
-
-	if got.Rows != int64(partitions*rowsPerPart) {
-		t.Fatalf("trainer consumed %d rows over framed streams, want %d", got.Rows, partitions*rowsPerPart)
+	if batches == 0 {
+		t.Fatal("no batches delivered")
 	}
-	delete(got.Sparse, hashedOut)
-	delete(got.Counts, hashedOut)
-	if !got.Equal(want) {
-		t.Fatalf("content checksums diverge across elastic churn on the framed plane:\n got %+v\nwant %+v", got, want)
-	}
+	assertExactDelivery(t, fx, got, "trainer")
 }

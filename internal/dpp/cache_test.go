@@ -13,24 +13,24 @@ import (
 	"dsi/internal/warehouse"
 )
 
-// runWireSession runs one full session over a real wire data plane
-// (gob unary or framed streaming), optionally through a fleet cache,
-// and returns the delivered content digest.
-func runWireSession(t *testing.T, wh *warehouse.Warehouse, spec SessionSpec, plane string, cache *ware.Cache, tenant string) *tensor.ContentSum {
+// runWireSession runs one full session over the framed data plane,
+// optionally through a fleet cache, and returns the delivered content
+// digest.
+func runWireSession(t *testing.T, wh *warehouse.Warehouse, spec SessionSpec, cache *ware.Cache, tenant string) *tensor.ContentSum {
 	t.Helper()
-	spec.DataPlane = plane
+	spec.DataPlane = DataPlaneFramed
 	m, err := NewMaster(wh, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorker(tenant+"-"+plane, m, wh)
+	w, err := NewWorker(tenant, m, wh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cache != nil {
 		w.UseCache(cache, tenant)
 	}
-	wln, stopWorker, err := ServeWorker(w, "127.0.0.1:0")
+	wln, stopWorker, err := ServeBatchSource(w, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +38,7 @@ func runWireSession(t *testing.T, wh *warehouse.Warehouse, spec SessionSpec, pla
 	runErr := make(chan error, 1)
 	go func() { runErr <- w.Run(nil) }()
 
-	var api WorkerAPI
-	if plane == DataPlaneFramed {
-		api, err = DialWorkerFramed(wln.Addr().String())
-	} else {
-		api, err = DialWorker(wln.Addr().String())
-	}
+	api, err := DialWorkerFramed(wln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +64,7 @@ func runWireSession(t *testing.T, wh *warehouse.Warehouse, spec SessionSpec, pla
 		t.Fatal(err)
 	}
 	if rows != 128 {
-		t.Fatalf("%s/%s delivered %d rows, want 128", tenant, plane, rows)
+		t.Fatalf("%s delivered %d rows, want 128", tenant, rows)
 	}
 	return sum
 }
@@ -77,44 +72,42 @@ func runWireSession(t *testing.T, wh *warehouse.Warehouse, spec SessionSpec, pla
 // TestFleetCacheGoldenParity is the cache's correctness gate: a session
 // served from the fleet cache (stripe hits, transform hits, and
 // eviction-then-refetch cycles) must deliver byte-identical tensor
-// content to a cold decode+transform, on both wire data planes, with
+// content to a cold decode+transform over the framed data plane, with
 // the cache enabled and disabled.
 func TestFleetCacheGoldenParity(t *testing.T) {
 	wh, spec := buildFixture(t, 64, 16) // 8 splits, 128 rows
-	for _, plane := range []string{DataPlaneGob, DataPlaneFramed} {
-		t.Run(plane, func(t *testing.T) {
-			golden := runWireSession(t, wh, spec, plane, nil, "baseline")
+	t.Run(DataPlaneFramed, func(t *testing.T) {
+		golden := runWireSession(t, wh, spec, nil, "baseline")
 
-			cache := ware.NewCache(64 << 20)
-			cold := runWireSession(t, wh, spec, plane, cache, "cold")
-			if st := cache.Stats(); st.Inserts == 0 || st.Hits() != 0 {
-				t.Fatalf("cold run stats = %+v", st)
-			}
-			warm := runWireSession(t, wh, spec, plane, cache, "warm")
-			ts := cache.TenantStats("warm")
-			if ts.XformHits != 8 || ts.Misses != 0 || ts.HitRate() != 1 {
-				t.Fatalf("warm tenant stats = %+v", ts)
-			}
+		cache := ware.NewCache(64 << 20)
+		cold := runWireSession(t, wh, spec, cache, "cold")
+		if st := cache.Stats(); st.Inserts == 0 || st.Hits() != 0 {
+			t.Fatalf("cold run stats = %+v", st)
+		}
+		warm := runWireSession(t, wh, spec, cache, "warm")
+		ts := cache.TenantStats("warm")
+		if ts.XformHits != 8 || ts.Misses != 0 || ts.HitRate() != 1 {
+			t.Fatalf("warm tenant stats = %+v", ts)
+		}
 
-			// Evict everything; the next session re-decodes and
-			// repopulates without drift.
-			cache.Flush()
-			refetch := runWireSession(t, wh, spec, plane, cache, "refetch")
-			if ts := cache.TenantStats("refetch"); ts.Misses == 0 {
-				t.Fatalf("post-flush run hit a flushed cache: %+v", ts)
-			}
+		// Evict everything; the next session re-decodes and
+		// repopulates without drift.
+		cache.Flush()
+		refetch := runWireSession(t, wh, spec, cache, "refetch")
+		if ts := cache.TenantStats("refetch"); ts.Misses == 0 {
+			t.Fatalf("post-flush run hit a flushed cache: %+v", ts)
+		}
 
-			disabled := runWireSession(t, wh, spec, plane, ware.NewCache(0), "off")
+		disabled := runWireSession(t, wh, spec, ware.NewCache(0), "off")
 
-			for name, sum := range map[string]*tensor.ContentSum{
-				"cold": cold, "warm": warm, "refetch": refetch, "disabled": disabled,
-			} {
-				if !golden.Equal(sum) {
-					t.Fatalf("%s content diverges from cold golden run", name)
-				}
+		for name, sum := range map[string]*tensor.ContentSum{
+			"cold": cold, "warm": warm, "refetch": refetch, "disabled": disabled,
+		} {
+			if !golden.Equal(sum) {
+				t.Fatalf("%s content diverges from cold golden run", name)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestFleetCacheAbortWhileShared aborts a warm pipeline mid-run while
@@ -263,23 +256,6 @@ func TestMultiTenantFleetCacheCrossSessionReuse(t *testing.T) {
 	sumB := consume("cache-tenant-b")
 	if !sumA.Equal(sumB) {
 		t.Fatal("second tenant's content diverges from the first's")
-	}
-
-	// The service's cross-node ware index is fed by heartbeats; with
-	// the cache warm it must surface this node's wares.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(svc.WareIndex()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	idx := svc.WareIndex()
-	if len(idx) == 0 {
-		t.Fatal("ware index empty with a warm fleet cache")
-	}
-	for w, nodes := range idx {
-		if hs := svc.WareHolders(w); len(hs) != len(nodes) {
-			t.Fatalf("WareHolders(%q) = %v, index says %v", w, hs, nodes)
-		}
-		break
 	}
 
 	close(stop)

@@ -40,9 +40,9 @@ func (l localWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
 func LocalWorkerAPI(w *Worker) WorkerAPI { return localWorker{w} }
 
 // WorkerDialer opens a data-plane connection to one resolved worker.
-// DialWorkerEndpointFramed (streaming) and DialWorkerEndpoint (gob
-// unary) are the TCP implementations; in-process launchers provide one
-// that looks the worker up by ID.
+// SessionWorkerDialer returns the TCP implementation (framed streams to
+// one session's pipelines); in-process launchers provide one that looks
+// the worker up by ID.
 type WorkerDialer func(ep WorkerEndpoint) (WorkerAPI, error)
 
 // drainable is implemented by transports that prefetch batches ahead of

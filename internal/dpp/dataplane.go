@@ -7,19 +7,18 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
 	"dsi/internal/tensor"
 )
 
-// This file is the framed streaming data plane: the worker→trainer hot
-// path that moves every training byte. The unary gob transport
-// (RemoteWorker.FetchBatch) pays the worst version of the paper's
-// "datacenter tax" (§6.2, §7.2): a full round trip per batch, a
-// reflection-driven gob encode on the worker, and a fresh allocation
-// storm on the trainer. The framed plane replaces all three:
+// This file is the data plane: the worker→trainer hot path that moves
+// every training byte over one framed TCP stream per (trainer, worker,
+// session). A unary RPC per batch would pay the worst version of the
+// paper's "datacenter tax" (§6.2, §7.2): a full round trip per batch, a
+// reflection-driven encode on the worker, and a fresh allocation storm
+// on the trainer. The framed stream removes all three:
 //
 //   - One TCP stream per worker. The client opens it with a hello
 //     carrying a credit window; the worker pushes length-prefixed
@@ -31,90 +30,72 @@ import (
 //     un-acknowledged frames in flight; the client grants one credit per
 //     consumed batch. A stalled trainer therefore stops the stream after
 //     at most one window, and the stall propagates back through the
-//     worker's delivery buffer exactly as before.
+//     worker's delivery buffer.
 //   - Pooled frames at both ends. The worker encodes each batch once
 //     into a pooled buffer and writes it with a single syscall; the
 //     client decodes into pool-backed tensors that the trainer returns
 //     with Batch.Release.
 //
-// Wire protocol, after the client connects:
+// Wire protocol (all integers little-endian), after the client connects:
 //
-//	client hello : "DSI1" | u8 version | u32 credit window
-//	               version 2 adds: | u8 session length | session bytes
-//	server hello : "DSI1" | u8 version (the negotiated stream version)
+//	client hello : "DSI1" | u8 version (= 2) | u32 credit window
+//	               | u8 session length | session bytes
+//	server hello : "DSI1" | u8 version (= 2)
 //	server frame : u8 kind | u32 payload length | payload
-//	               kind 1 = batch; version 1 payload is one tensor
-//	               frame, version 2 prefixes it with u32 split | u32 seq
-//	               (the batch's delivery provenance, see tensor.Batch)
-//	               kind 2 = done  (worker finished and drained; len 0)
+//	               kind 1 = batch: u32 split | u32 seq | u32 seq count
+//	                        | one tensor frame (tensor.AppendBinary);
+//	                        payload length <= maxBatchFrameLen
+//	               kind 2 = done: the source finished and drained; len 0
 //	client grant : u32 credit delta (any time after the hello)
 //
-// Version 2 makes the stream session-aware (a fleet worker's single
-// listener demultiplexes per-session pipelines by the hello's session
-// ID) and tags every batch with its (split, seq) provenance so clients
-// can deduplicate redelivery after a worker crash. A version-1 hello is
-// still served — untagged frames, routed to the default session — so
-// old clients keep working against new workers; a version-2 hello to an
-// old worker is rejected at the handshake and the dialer falls back to
-// gob.
-//
-// Both transports share the worker's listener: the accept path sniffs
-// the first four bytes and routes "DSI1" to the framed server,
-// everything else to net/rpc. DialWorkerFramed likewise falls back to
-// the gob transport when the remote side does not answer the hello —
-// old workers keep serving new clients and vice versa.
+// The session ID routes the stream to one pipeline behind a fleet
+// worker's shared listener; the (split, seq, seq count) tags are the
+// batch's delivery provenance, which lets clients deduplicate
+// redelivery after a worker crash. The server answers nothing — it
+// closes the connection before its hello — to a bad magic, any other
+// version, a hello that does not arrive within handshakeTimeout, or an
+// unknown session, and the dialer reports that as an error.
 
 const (
 	// dataPlaneMagic opens both hellos of the framed protocol.
 	dataPlaneMagic = "DSI1"
-	// dataPlaneVersion is the newest protocol version spoken by this
-	// package; dataPlaneVersionLegacy streams are still served for old
-	// clients (untagged frames, default session).
-	dataPlaneVersion       = 2
-	dataPlaneVersionLegacy = 1
+	// dataPlaneVersion is the one protocol version spoken on the wire.
+	dataPlaneVersion = 2
 
 	frameKindBatch = 1
 	frameKindDone  = 2
 
-	// batchTagLen is the length of the version-2 batch frame's
-	// provenance prefix (u32 split | u32 seq | u32 seq count).
+	// batchTagLen is the length of the batch frame's provenance prefix
+	// (u32 split | u32 seq | u32 seq count).
 	batchTagLen = 12
 
-	// maxSessionIDLen bounds the session ID carried in a version-2
-	// hello (length-prefixed with one byte).
+	// maxBatchFrameLen bounds a batch frame's payload length, checked
+	// before the client allocates for it: the length is read straight
+	// off the wire, and an unchecked length lets a broken or hostile
+	// peer make the trainer allocate up to 4 GiB. A 128-row RM1 batch is
+	// ~35 KB (BENCH_wire.json), so the cap sits three orders of
+	// magnitude above any real batch.
+	maxBatchFrameLen = 64 << 20
+
+	// maxSessionIDLen bounds the session ID carried in the hello
+	// (length-prefixed with one byte).
 	maxSessionIDLen = 255
 
 	// defaultCreditWindow is the per-stream in-flight batch budget.
 	defaultCreditWindow = 8
 
-	// handshakeTimeout bounds the framed hello exchange; on expiry the
-	// dialer falls back to the gob transport.
+	// handshakeTimeout bounds the hello exchange on both ends.
 	handshakeTimeout = 3 * time.Second
 )
 
-// DataPlaneFramed and DataPlaneGob name the two wire encodings of the
-// worker→trainer data plane (SessionSpec.DataPlane, cmd/dppd
-// -dataplane).
+// DataPlaneFramed and DataPlaneGob name the two worker→trainer wire
+// encodings the resource model prices (SessionSpec.DataPlane). The wire
+// itself is always framed; DataPlaneGob survives as the modelled
+// Thrift-style encoding behind the paper's datacenter-tax figures.
 const (
 	DataPlaneFramed = "framed"
 	DataPlaneGob    = "gob"
 )
-
-// DataPlaneDialer resolves a -dataplane mode to the matching
-// WorkerDialer: framed streaming (with automatic gob fallback per
-// worker) or plain gob unary. The empty mode resolves to gob, matching
-// SessionSpec.DataPlane's default so the wire encoding and the
-// modelled tax always agree when neither is set.
-func DataPlaneDialer(mode string) (WorkerDialer, error) {
-	switch mode {
-	case DataPlaneFramed:
-		return DialWorkerEndpointFramed, nil
-	case "", DataPlaneGob:
-		return DialWorkerEndpoint, nil
-	default:
-		return nil, fmt.Errorf("dpp: unknown data plane %q (want %s or %s)", mode, DataPlaneFramed, DataPlaneGob)
-	}
-}
 
 // BatchSource is the buffer surface the data plane serves from: Worker
 // implements it, and benchmarks or tests can serve synthetic sources
@@ -134,9 +115,9 @@ type ungetter interface {
 }
 
 // consumeAcker is the optional BatchSource extension through which the
-// data plane reports irrevocable consumption (a framed credit grant, a
-// gracefully rescued stream window, a gob-unary pop). Worker implements
-// it to drive the deferred split-completion ledger.
+// data plane reports irrevocable consumption (a framed credit grant or
+// a gracefully rescued stream window). Worker implements it to drive
+// the deferred split-completion ledger.
 type consumeAcker interface {
 	ackConsumed(batches ...*tensor.Batch)
 }
@@ -151,8 +132,7 @@ func ackAll(src BatchSource, batches []*tensor.Batch) {
 // crashSignaler is the optional BatchSource extension fault-injection
 // uses: when the returned channel closes, every serving stream severs
 // its connection immediately — without the abnormal-break requeue, as a
-// killed process would — and the gob handler starts erroring. Worker
-// implements it via Crash.
+// killed process would. Worker implements it via Crash.
 type crashSignaler interface {
 	crashedCh() <-chan struct{}
 }
@@ -176,111 +156,81 @@ type outstandingTracker interface {
 	addStreamOutstanding(delta int)
 }
 
-// serveDataPlaneOn serves both wire encodings of a batch source's data
-// plane on ln: framed streams for clients that open with the protocol
-// magic, net/rpc gob for everyone else.
-func serveDataPlaneOn(svc *WorkerService, ln net.Listener) (func(), error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", svc); err != nil {
-		return nil, err
-	}
+// sourceResolver routes a stream hello's session ID to the batch source
+// that serves it.
+type sourceResolver func(session string) (BatchSource, error)
+
+// serveDataPlaneOn serves framed streams on ln, each routed to its
+// session's batch source by resolve.
+func serveDataPlaneOn(resolve sourceResolver, ln net.Listener) func() {
 	done := make(chan struct{})
 	go acceptLoop(ln, done, func(conn net.Conn) {
-		go sniffDataPlaneConn(srv, svc, conn)
+		go serveFramedStream(resolve, conn)
 	})
 	var once sync.Once
-	stop := func() {
+	return func() {
 		once.Do(func() {
 			close(done)
 			ln.Close()
 		})
 	}
-	return stop, nil
 }
 
-// ServeBatchSource exposes a batch source over both data planes on addr
-// (with zero worker stats) — the entry point transport benchmarks and
-// tests use to measure the wire path in isolation.
+// ServeBatchSource serves one batch source's framed data plane on addr,
+// as the session-less stream (the empty session ID) — the entry point
+// transport benchmarks and tests use to measure the wire path in
+// isolation, or to serve a single Worker.
 func ServeBatchSource(src BatchSource, addr string) (net.Listener, func(), error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	stop, err := serveDataPlaneOn(&WorkerService{src: src}, ln)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
+	stop := serveDataPlaneOn(func(session string) (BatchSource, error) {
+		if session != "" {
+			return nil, fmt.Errorf("dpp: data plane hosts no session %q", session)
+		}
+		return src, nil
+	}, ln)
 	return ln, stop, nil
 }
 
-// sniffDataPlaneConn routes one accepted connection by its first bytes:
-// the framed protocol announces itself with dataPlaneMagic; anything
-// else is a gob net/rpc client.
-func sniffDataPlaneConn(srv *rpc.Server, svc *WorkerService, conn net.Conn) {
-	br := bufio.NewReader(conn)
-	magic, err := br.Peek(len(dataPlaneMagic))
-	if err != nil {
-		conn.Close()
-		return
-	}
-	if string(magic) == dataPlaneMagic {
-		br.Discard(len(dataPlaneMagic))
-		serveFramedStream(svc, conn, br)
-		return
-	}
-	srv.ServeConn(sniffedConn{Conn: conn, r: br})
-}
-
-// sniffedConn replays bytes buffered during protocol sniffing before
-// reading from the wrapped connection.
-type sniffedConn struct {
-	net.Conn
-	r *bufio.Reader
-}
-
-func (c sniffedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// serveFramedStream runs the server half of one framed stream: finish
-// the hello (negotiating the stream version and resolving the session's
-// batch source), track the client's credit, and push batch frames until
-// the source drains or the connection breaks. The protocol magic has
-// already been consumed from br.
-func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
+// serveFramedStream runs the server half of one framed stream: read and
+// check the hello (magic, version, credit window, session), resolve the
+// session's batch source, track the client's credit, and push batch
+// frames until the source drains or the connection breaks.
+func serveFramedStream(resolve sourceResolver, conn net.Conn) {
 	defer conn.Close()
 
+	br := bufio.NewReader(conn)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	version, err := br.ReadByte()
-	if err != nil {
+	// Check magic and version before reading on, so any other hello is
+	// refused at once rather than on the handshake timeout.
+	var head [len(dataPlaneMagic) + 1]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return
 	}
-	if version != dataPlaneVersion && version != dataPlaneVersionLegacy {
+	if string(head[:len(dataPlaneMagic)]) != dataPlaneMagic || head[len(dataPlaneMagic)] != dataPlaneVersion {
 		return
 	}
-	var wbuf [4]byte
-	if _, err := io.ReadFull(br, wbuf[:]); err != nil {
+	// u32 credit window | u8 session length | session bytes
+	var rest [5]byte
+	if _, err := io.ReadFull(br, rest[:]); err != nil {
 		return
 	}
-	window := int64(binary.LittleEndian.Uint32(wbuf[:]))
+	window := int64(binary.LittleEndian.Uint32(rest[:4]))
 	if window <= 0 {
 		window = defaultCreditWindow
 	}
 	session := ""
-	if version >= 2 {
-		slen, err := br.ReadByte()
-		if err != nil {
+	if slen := rest[4]; slen > 0 {
+		sbuf := make([]byte, slen)
+		if _, err := io.ReadFull(br, sbuf); err != nil {
 			return
 		}
-		if slen > 0 {
-			sbuf := make([]byte, slen)
-			if _, err := io.ReadFull(br, sbuf); err != nil {
-				return
-			}
-			session = string(sbuf)
-		}
+		session = string(sbuf)
 	}
 	conn.SetReadDeadline(time.Time{})
-	src, _, err := svc.source(session)
+	src, err := resolve(session)
 	if err != nil {
 		// Unknown session: refuse before the server hello so the dialer
 		// reports a handshake failure instead of a hung stream.
@@ -288,7 +238,7 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 	}
 	var shello [len(dataPlaneMagic) + 1]byte
 	copy(shello[:], dataPlaneMagic)
-	shello[len(dataPlaneMagic)] = version
+	shello[len(dataPlaneMagic)] = dataPlaneVersion
 	if _, err := conn.Write(shello[:]); err != nil {
 		return
 	}
@@ -448,15 +398,13 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 		unacked = append(unacked, b)
 		creditMu.Unlock()
 		track(1)
-		// One encode, one write: header, provenance tags (version 2),
-		// and payload share the pooled buffer, so a batch costs a
-		// single syscall and no garbage.
+		// One encode, one write: header, provenance tags, and payload
+		// share the pooled buffer, so a batch costs a single syscall
+		// and no garbage.
 		frame = append(frame[:0], frameKindBatch, 0, 0, 0, 0)
-		if version >= 2 {
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Split))
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Seq))
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(b.SeqCount))
-		}
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Split))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.Seq))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(b.SeqCount))
 		frame = b.AppendBinary(frame)
 		binary.LittleEndian.PutUint32(frame[1:5], uint32(len(frame)-5))
 		if _, err := conn.Write(frame); err != nil {
@@ -474,9 +422,6 @@ func serveFramedStream(svc *WorkerService, conn net.Conn, br *bufio.Reader) {
 type StreamWorker struct {
 	conn    net.Conn
 	batches chan *tensor.Batch
-	// version is the negotiated stream version (2 = session-aware,
-	// provenance-tagged frames; 1 = legacy untagged).
-	version byte
 
 	// wmu serializes credit-grant writes from consumer goroutines.
 	wmu sync.Mutex
@@ -490,27 +435,35 @@ type StreamWorker struct {
 	closeOnce sync.Once
 }
 
-// DialWorkerFramed opens a framed stream to a worker's data-plane
-// address for the default session. When the remote side does not speak
-// the framed protocol (an old gob-only worker), it transparently falls
-// back to the unary gob transport, so mixed fleets keep working during
-// rollout.
+// DialWorkerFramed opens a framed stream to the session-less source a
+// ServeBatchSource listener serves.
 func DialWorkerFramed(addr string) (WorkerAPI, error) {
 	return DialWorkerFramedSession(addr, "")
 }
 
 // DialWorkerFramedSession opens a framed stream to one session's
-// pipeline on a (fleet) worker's shared data-plane listener. An old
-// worker that rejects the session-aware hello is retried over the gob
-// transport, which carries the session ID per fetch.
+// pipeline on a (fleet) worker's shared data-plane listener. A failed
+// handshake — the worker refuses the hello, hangs up, or stays silent
+// past handshakeTimeout — closes the connection and returns an error.
 func DialWorkerFramedSession(addr, session string) (WorkerAPI, error) {
 	if len(session) > maxSessionIDLen {
 		return nil, fmt.Errorf("dpp: session ID %q exceeds %d bytes", session, maxSessionIDLen)
 	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	conn, err := net.DialTimeout("tcp", addr, rpcDialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("dpp: dial worker %s: %w", addr, err)
 	}
+	s, err := openFramedStream(conn, session)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("dpp: worker %s session %q: %w", addr, session, err)
+	}
+	return s, nil
+}
+
+// openFramedStream runs the client half of the hello on conn and starts
+// the stream's read loop.
+func openFramedStream(conn net.Conn, session string) (*StreamWorker, error) {
 	hello := make([]byte, 0, len(dataPlaneMagic)+6+len(session))
 	hello = append(hello, dataPlaneMagic...)
 	hello = append(hello, dataPlaneVersion)
@@ -519,52 +472,35 @@ func DialWorkerFramedSession(addr, session string) (WorkerAPI, error) {
 	hello = append(hello, session...)
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := conn.Write(hello); err != nil {
-		conn.Close()
-		return DialWorkerSession(addr, session)
+		return nil, fmt.Errorf("framed hello: %w", err)
 	}
 	var shello [len(dataPlaneMagic) + 1]byte
-	if _, err := io.ReadFull(conn, shello[:]); err != nil ||
-		string(shello[:len(dataPlaneMagic)]) != dataPlaneMagic ||
-		(shello[len(dataPlaneMagic)] != dataPlaneVersion &&
-			shello[len(dataPlaneMagic)] != dataPlaneVersionLegacy) {
-		// A gob-only worker reads our hello as a broken gob stream and
-		// hangs up; fall back to the transport it does speak.
-		conn.Close()
-		return DialWorkerSession(addr, session)
+	if _, err := io.ReadFull(conn, shello[:]); err != nil {
+		return nil, fmt.Errorf("framed handshake refused: %w", err)
+	}
+	if string(shello[:len(dataPlaneMagic)]) != dataPlaneMagic || shello[len(dataPlaneMagic)] != dataPlaneVersion {
+		return nil, fmt.Errorf("framed handshake: bad server hello %q", shello[:])
 	}
 	conn.SetDeadline(time.Time{})
 	s := &StreamWorker{
 		conn:       conn,
 		batches:    make(chan *tensor.Batch, defaultCreditWindow),
-		version:    shello[len(dataPlaneMagic)],
 		readerDone: make(chan struct{}),
 	}
 	go s.readLoop()
 	return s, nil
 }
 
-// DialWorkerEndpointFramed is the framed WorkerDialer for TCP-served
-// workers (with gob fallback per endpoint).
-func DialWorkerEndpointFramed(ep WorkerEndpoint) (WorkerAPI, error) {
-	return DialWorkerFramed(ep.Endpoint)
-}
-
-// SessionWorkerDialer resolves a -dataplane mode to a WorkerDialer
-// bound to one session of a multi-tenant fleet: framed streams carry
-// the session in their hello, gob fetches carry it per call.
+// SessionWorkerDialer returns the WorkerDialer that opens framed
+// streams to one session's pipelines. mode must be DataPlaneFramed, the
+// only wire encoding; any other mode is an error.
 func SessionWorkerDialer(mode, session string) (WorkerDialer, error) {
-	switch mode {
-	case DataPlaneFramed:
-		return func(ep WorkerEndpoint) (WorkerAPI, error) {
-			return DialWorkerFramedSession(ep.Endpoint, session)
-		}, nil
-	case "", DataPlaneGob:
-		return func(ep WorkerEndpoint) (WorkerAPI, error) {
-			return DialWorkerSession(ep.Endpoint, session)
-		}, nil
-	default:
-		return nil, fmt.Errorf("dpp: unknown data plane %q (want %s or %s)", mode, DataPlaneFramed, DataPlaneGob)
+	if mode != DataPlaneFramed {
+		return nil, fmt.Errorf("dpp: unknown data plane %q (want %s)", mode, DataPlaneFramed)
 	}
+	return func(ep WorkerEndpoint) (WorkerAPI, error) {
+		return DialWorkerFramedSession(ep.Endpoint, session)
+	}, nil
 }
 
 // readLoop receives frames into the local window. The channel's
@@ -587,8 +523,12 @@ func (s *StreamWorker) readLoop() {
 			s.done = true
 			return
 		case frameKindBatch:
-			if s.version >= 2 && n < batchTagLen {
+			if n < batchTagLen {
 				s.err = fmt.Errorf("dpp: framed stream: short batch frame (%d bytes)", n)
+				return
+			}
+			if n > maxBatchFrameLen {
+				s.err = fmt.Errorf("dpp: framed stream: batch frame of %d bytes exceeds %d", n, maxBatchFrameLen)
 				return
 			}
 			buf := tensor.GetFrameBuf()
@@ -601,15 +541,10 @@ func (s *StreamWorker) readLoop() {
 				s.err = err
 				return
 			}
-			payload := buf
-			var split, seq, seqCount int32
-			if s.version >= 2 {
-				split = int32(binary.LittleEndian.Uint32(payload[0:4]))
-				seq = int32(binary.LittleEndian.Uint32(payload[4:8]))
-				seqCount = int32(binary.LittleEndian.Uint32(payload[8:12]))
-				payload = payload[batchTagLen:]
-			}
-			b, _, err := tensor.DecodeBinary(payload)
+			split := int32(binary.LittleEndian.Uint32(buf[0:4]))
+			seq := int32(binary.LittleEndian.Uint32(buf[4:8]))
+			seqCount := int32(binary.LittleEndian.Uint32(buf[8:12]))
+			b, _, err := tensor.DecodeBinary(buf[batchTagLen:])
 			tensor.PutFrameBuf(buf)
 			if err != nil {
 				s.err = err

@@ -1,9 +1,12 @@
 package dpp
 
 import (
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"net"
-	"net/rpc"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,7 +83,7 @@ func TestFramedStreamTransport(t *testing.T) {
 	}
 	sw, ok := api.(*StreamWorker)
 	if !ok {
-		t.Fatalf("dial returned %T, want *StreamWorker (fallback fired against a framed server)", api)
+		t.Fatalf("dial returned %T, want *StreamWorker", api)
 	}
 	defer sw.Close()
 
@@ -305,14 +308,75 @@ func TestFramedStreamRequeuesOnAbnormalDisconnect(t *testing.T) {
 	}
 }
 
-func TestFramedDialFallsBackToGob(t *testing.T) {
-	// A gob-only listener (the pre-framed worker): plain net/rpc with no
-	// protocol sniffing.
-	src := &countedSource{batch: dataplaneTestBatch(16, 4), remaining: 5}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", &WorkerService{src: src}); err != nil {
+// TestFramedHandshakeRejectsOtherHellos pins the one protocol: a
+// version-1 hello, an unknown version, or a wrong magic gets no server
+// hello — the listener hangs up at once instead of serving anything.
+func TestFramedHandshakeRejectsOtherHellos(t *testing.T) {
+	src := &countedSource{batch: dataplaneTestBatch(8, 4), remaining: 5}
+	ln, stop, err := ServeBatchSource(src, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop()
+	hello := func(magic string, version byte) []byte {
+		h := append([]byte(magic), version)
+		h = binary.LittleEndian.AppendUint32(h, defaultCreditWindow)
+		return append(h, 0)
+	}
+	for name, h := range map[string][]byte{
+		"v1":          hello(dataPlaneMagic, 1)[:len(dataPlaneMagic)+5], // v1 carried no session field
+		"v3":          hello(dataPlaneMagic, 3),
+		"gob-like":    []byte("\x0d\xff\x81\x03\x01\x01\x07Request"),
+		"wrong-magic": hello("DSI0", dataPlaneVersion),
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(h); err != nil {
+				t.Fatal(err)
+			}
+			// Well under handshakeTimeout: the refusal must not wait for it.
+			conn.SetReadDeadline(time.Now().Add(handshakeTimeout / 2))
+			var buf [16]byte
+			n, err := conn.Read(buf[:])
+			if n != 0 || err == nil {
+				t.Fatalf("server answered %q (err %v), want a hang-up", buf[:n], err)
+			}
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("server held the connection open instead of refusing the hello")
+			}
+		})
+	}
+	if n := src.Popped(); n != 0 {
+		t.Fatalf("refused hellos popped %d batches", n)
+	}
+}
+
+// TestFramedHandshakeRefusesUnknownSession: a hello for a session the
+// listener does not host is refused before the server hello, and the
+// dialer reports it.
+func TestFramedHandshakeRefusesUnknownSession(t *testing.T) {
+	src := &countedSource{batch: dataplaneTestBatch(8, 4), remaining: 5}
+	ln, stop, err := ServeBatchSource(src, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if api, err := DialWorkerFramedSession(ln.Addr().String(), "no-such-session"); err == nil {
+		t.Fatalf("dial to an unknown session returned %T, want an error", api)
+	}
+	if n := src.Popped(); n != 0 {
+		t.Fatalf("refused stream popped %d batches", n)
+	}
+}
+
+// TestFramedDialFailsWithoutFallback: a listener that accepts and hangs
+// up (any peer that does not speak the framed protocol) makes the dial
+// fail promptly, with no other transport tried.
+func TestFramedDialFailsWithoutFallback(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -324,83 +388,169 @@ func TestFramedDialFallsBackToGob(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go srv.ServeConn(conn)
+			conn.Close()
 		}
 	}()
-
-	api, err := DialWorkerFramed(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	start := time.Now()
+	api, err := DialWorkerFramedSession(ln.Addr().String(), "s1")
+	if err == nil {
+		t.Fatalf("dial to a hanging-up listener returned %T, want an error", api)
 	}
-	if _, ok := api.(*RemoteWorker); !ok {
-		t.Fatalf("dial returned %T, want *RemoteWorker fallback", api)
-	}
-	defer api.(*RemoteWorker).Close()
-	rows := 0
-	for {
-		b, ok, done, err := api.FetchBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		if ok {
-			rows += b.Rows
-		}
-	}
-	if rows != 5*16 {
-		t.Fatalf("fallback transport delivered %d rows, want %d", rows, 5*16)
+	if took := time.Since(start); took >= handshakeTimeout {
+		t.Fatalf("dial took %v to fail, want well under the %v handshake timeout", took, handshakeTimeout)
 	}
 }
 
+// pipeStream opens a client stream over net.Pipe against a scripted
+// server: it answers the client hello with a valid server hello, then
+// writes serverBytes and hangs up, discarding the client's grants.
+func pipeStream(t testing.TB, serverBytes []byte) *StreamWorker {
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		var hello [len(dataPlaneMagic) + 6]byte
+		if _, err := io.ReadFull(server, hello[:]); err != nil {
+			return
+		}
+		go io.Copy(io.Discard, server)
+		if _, err := server.Write(append([]byte(dataPlaneMagic), dataPlaneVersion)); err != nil {
+			return
+		}
+		server.Write(serverBytes)
+	}()
+	s, err := openFramedStream(client, "")
+	if err != nil {
+		client.Close()
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestFramedClientRejectsOversizedFrame: a batch header announcing a
+// 4 GiB payload ends the stream with an abnormal error before the
+// client allocates for it.
+func TestFramedClientRejectsOversizedFrame(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := pipeStream(t, []byte{frameKindBatch, 0xff, 0xff, 0xff, 0xff})
+	defer s.Close()
+	select {
+	case <-s.readerDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream still reading after an oversized frame header")
+	}
+	runtime.ReadMemStats(&after)
+	if s.done || s.err == nil || !strings.Contains(s.err.Error(), "exceeds") {
+		t.Fatalf("stream ended done=%v err=%v, want an oversized-frame error", s.done, s.err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > maxBatchFrameLen {
+		t.Fatalf("client allocated %d bytes for a rejected frame", grew)
+	}
+	if _, ok, done, err := s.FetchBatch(); ok || done || err == nil {
+		t.Fatalf("fetch after oversized frame = ok %v done %v err %v, want an error", ok, done, err)
+	}
+	if out := s.Drain(); out != nil {
+		t.Fatalf("abnormally ended stream rescued %d batches, want none", len(out))
+	}
+}
+
+// FuzzFramedStreamClient feeds arbitrary server bytes to a client after
+// a valid server hello: every run must end in an error or a done frame,
+// with no panic and no hang.
+func FuzzFramedStreamClient(f *testing.F) {
+	frame := func(kind byte, payload []byte) []byte {
+		out := binary.LittleEndian.AppendUint32([]byte{kind}, uint32(len(payload)))
+		return append(out, payload...)
+	}
+	tagged := make([]byte, batchTagLen)
+	binary.LittleEndian.PutUint32(tagged[0:], 3)
+	binary.LittleEndian.PutUint32(tagged[4:], 0)
+	binary.LittleEndian.PutUint32(tagged[8:], 1)
+	batch := frame(frameKindBatch, dataplaneTestBatch(4, 9).AppendBinary(tagged))
+	done := frame(frameKindDone, nil)
+	f.Add([]byte{})
+	f.Add(done)
+	f.Add(append(append([]byte{}, batch...), done...))
+	f.Add(batch)
+	f.Add(batch[:len(batch)-7])
+	f.Add([]byte{frameKindBatch, 0xff, 0xff, 0xff, 0xff})
+	f.Add(frame(frameKindBatch, []byte{1, 2, 3}))
+	f.Add(frame(frameKindBatch, tagged))
+	f.Add(frame(7, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := pipeStream(t, data)
+		defer s.Close()
+		deadline := time.After(10 * time.Second)
+		for {
+			b, ok, done, err := s.FetchBatch()
+			if err != nil || done {
+				return
+			}
+			if ok {
+				b.Release()
+				continue
+			}
+			select {
+			case <-s.readerDone:
+			case <-deadline:
+				t.Fatal("stream neither ended nor failed")
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	})
+}
+
 func TestRPCTransportEndToEndFramed(t *testing.T) {
-	// The full worker path over the framed plane: master over RPC,
-	// worker serving its real buffer, client streaming frames.
+	// The full served path: the Service's control plane over RPC, one
+	// fleet worker serving its session pipeline on the framed plane, and
+	// a tenant client streaming frames.
 	wh, spec := buildFixture(t, 64, 16)
 	spec.DataPlane = DataPlaneFramed
-	m, err := NewMaster(wh, spec)
+	svc := NewService(wh)
+	const id = "rpc"
+	if err := svc.CreateSession(id, spec); err != nil {
+		t.Fatal(err)
+	}
+	ln, stopService, err := ServeService(svc, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, stopMaster, err := ServeMaster(m, "127.0.0.1:0")
+	defer stopService()
+	rs, err := DialService(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopMaster()
+	defer rs.Close()
 
-	remote, err := DialMaster(ln.Addr().String())
+	fw, stopServe, err := ListenAndServeFleetWorker("framed-w1", "127.0.0.1:0", rs, wh, func(fw *FleetWorker) {
+		fw.HeartbeatEvery = time.Millisecond
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer remote.Close()
+	defer stopServe()
+	svc.Rebalance()
+	stop := make(chan struct{})
+	runDone := make(chan error, 1)
+	go func() { runDone <- fw.Run(stop) }()
+	var w *Worker
+	deadline := time.Now().Add(5 * time.Second)
+	for w = fw.Pipeline(id); w == nil && time.Now().Before(deadline); w = fw.Pipeline(id) {
+		time.Sleep(time.Millisecond)
+	}
+	if w == nil {
+		t.Fatal("fleet worker never started the session's pipeline")
+	}
 
-	w, err := NewWorker("framed-w1", remote, wh)
+	dial, err := SessionWorkerDialer(DataPlaneFramed, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wln, stopWorker, err := ServeWorker(w, "127.0.0.1:0")
+	client, err := NewTenantClient(rs, id, dial, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopWorker()
-	go func() {
-		if err := w.Run(nil); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	api, err := DialWorkerFramed(wln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := api.(*StreamWorker); !ok {
-		t.Fatalf("dial returned %T, want *StreamWorker", api)
-	}
-	client, err := NewClient([]WorkerAPI{api}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client.RefreshEvery = time.Millisecond
 	rows := 0
 	for {
 		b, ok, err := client.Next()
@@ -418,20 +568,22 @@ func TestRPCTransportEndToEndFramed(t *testing.T) {
 	}
 	// Every granted batch must have retired from the worker's
 	// outstanding stream window, so Retire would not block.
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for w.Undelivered() > 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := w.Undelivered(); n != 0 {
 		t.Fatalf("worker still reports %d undelivered batches after full consumption", n)
 	}
-	// The same listener still serves gob unary side by side.
-	rw, err := DialWorker(wln.Addr().String())
+	sm, err := rs.SessionMaster(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rw.Close()
-	if _, ok, done, err := rw.FetchBatch(); err != nil || ok || !done {
-		t.Fatalf("gob fetch after drain = ok %v done %v err %v, want done", ok, done, err)
+	if done, err := sm.Done(); err != nil || !done {
+		t.Fatalf("remote Done = %v, %v", done, err)
+	}
+	close(stop)
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
 	}
 }

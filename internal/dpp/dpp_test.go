@@ -246,6 +246,60 @@ func TestMasterReapDeadReassigns(t *testing.T) {
 	}
 }
 
+// TestMasterWorkerStatsCumulativeAcrossChurn checks that recovery
+// counters survive a worker leaving membership (deregistered or reaped)
+// and add up across incarnations of the same worker ID.
+func TestMasterWorkerStatsCumulativeAcrossChurn(t *testing.T) {
+	wh, spec := buildFixture(t, 32, 16)
+	m, err := NewMaster(wh, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1000, 0)
+	m.now = func() time.Time { return now }
+	m.LeaseTimeout = 10 * time.Second
+
+	beat := func(hedges, quarantines int64) {
+		t.Helper()
+		if err := m.Heartbeat("w1", WorkerStats{HedgedReads: hedges, Quarantines: quarantines, BufferedBatches: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.RegisterWorker("w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	beat(1, 2)
+	if err := m.DeregisterWorker("w1"); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.WorkerStatsByID()["w1"]; st.HedgedReads != 1 || st.Quarantines != 2 || st.BufferedBatches != 0 {
+		t.Fatalf("departed worker stats = %+v, want its final recovery counters only", st)
+	}
+
+	// A second incarnation starts from zeroed counters; the view adds
+	// the first one's on top.
+	if _, err := m.RegisterWorker("w1", ""); err != nil {
+		t.Fatal(err)
+	}
+	beat(3, 0)
+	if st := m.WorkerStatsByID()["w1"]; st.HedgedReads != 4 || st.Quarantines != 2 || st.BufferedBatches != 7 {
+		t.Fatalf("re-registered worker stats = %+v, want hedges 4, quarantines 2, buffered 7", st)
+	}
+
+	// Reaping retires the incarnation the same way.
+	now = now.Add(11 * time.Second)
+	m.ReapDead()
+	if eps, _ := m.ListWorkers(); len(eps) != 0 {
+		t.Fatalf("reaped worker still listed: %+v", eps)
+	}
+	if st := m.WorkerStatsByID()["w1"]; st.HedgedReads != 4 || st.Quarantines != 2 {
+		t.Fatalf("reaped worker stats = %+v, want hedges 4, quarantines 2", st)
+	}
+	if snap := m.WorkerStatsSnapshot(); len(snap) != 0 {
+		t.Fatalf("policy snapshot includes departed workers: %+v", snap)
+	}
+}
+
 func TestMasterDrain(t *testing.T) {
 	wh, spec := buildFixture(t, 32, 16)
 	m, err := NewMaster(wh, spec)
@@ -777,69 +831,6 @@ func TestEndToEndAutoscaledSession(t *testing.T) {
 	wg.Wait()
 	if rows != 192 {
 		t.Fatalf("rows = %d, want 192", rows)
-	}
-}
-
-func TestRPCTransportEndToEnd(t *testing.T) {
-	wh, spec := buildFixture(t, 64, 16)
-	m, err := NewMaster(wh, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, stopMaster, err := ServeMaster(m, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopMaster()
-
-	remote, err := DialMaster(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-
-	w, err := NewWorker("rpc-w1", remote, wh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wln, stopWorker, err := ServeWorker(w, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopWorker()
-
-	go func() {
-		if err := w.Run(nil); err != nil {
-			t.Error(err)
-		}
-	}()
-
-	rw, err := DialWorker(wln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rw.Close()
-	client, err := NewClient([]WorkerAPI{rw}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := 0
-	for {
-		b, ok, err := client.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows += b.Rows
-	}
-	if rows != 128 {
-		t.Fatalf("RPC client saw %d rows, want 128", rows)
-	}
-	done, err := remote.Done()
-	if err != nil || !done {
-		t.Fatalf("remote Done = %v, %v", done, err)
 	}
 }
 

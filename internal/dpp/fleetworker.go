@@ -19,8 +19,8 @@ import (
 // master, and a revoked session drains through the ordinary drain
 // protocol — the session master stops leasing to it, the pipeline
 // delivers its in-flight splits, serves out its buffer, and
-// deregisters. The data plane demultiplexes per session: framed stream
-// hellos and gob fetches carry a session ID that routes to the matching
+// deregisters. The data plane demultiplexes per session: each framed
+// stream hello carries a session ID that routes to the matching
 // pipeline's buffer.
 type FleetWorker struct {
 	ID string
@@ -63,10 +63,6 @@ type FleetWorker struct {
 // DefaultFleetCacheBytes is the default per-node budget of the shared
 // content-addressed batch cache.
 const DefaultFleetCacheBytes = 256 << 20
-
-// wareListCap bounds how many resident ware digests a fleet heartbeat
-// ships to the service's cross-node index.
-const wareListCap = 512
 
 // Cache returns the node's shared batch cache, creating it on first
 // use; nil when CacheBytes is negative (caching disabled).
@@ -133,17 +129,17 @@ func (fw *FleetWorker) Sessions() []string {
 	return out
 }
 
-// source implements the data plane's per-session routing
-// (WorkerService.resolve): a stream or fetch addressed to a session
-// lands on that session's pipeline buffer.
-func (fw *FleetWorker) source(sessionID string) (BatchSource, func() WorkerStats, error) {
+// source is the data plane's per-session routing (a sourceResolver): a
+// stream addressed to a session lands on that session's pipeline
+// buffer.
+func (fw *FleetWorker) source(sessionID string) (BatchSource, error) {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
 	p := fw.pipelines[sessionID]
 	if p == nil {
-		return nil, nil, fmt.Errorf("dpp: fleet worker %s hosts no session %q", fw.ID, sessionID)
+		return nil, fmt.Errorf("dpp: fleet worker %s hosts no session %q", fw.ID, sessionID)
 	}
-	return p.w, p.w.Stats, nil
+	return p.w, nil
 }
 
 // AggregateStats folds the live pipelines into one fleet-level
@@ -159,8 +155,7 @@ func (fw *FleetWorker) AggregateStats() WorkerStats {
 	}
 	fw.mu.Unlock()
 	// Node-wide cache counters come from the cache itself (pipelines
-	// retire with their sessions; the cache outlives them all) and ride
-	// the fleet heartbeat into the service's cross-node ware index.
+	// retire with their sessions; the cache outlives them all).
 	var cacheStats WorkerStats
 	if c := fw.Cache(); c != nil {
 		cs := c.Stats()
@@ -169,7 +164,6 @@ func (fw *FleetWorker) AggregateStats() WorkerStats {
 			CacheStripeHits: cs.StripeHits,
 			CacheMisses:     cs.Misses,
 			CacheBytesSaved: cs.BytesSaved,
-			CacheWares:      c.Wares(wareListCap),
 		}
 	}
 	if len(workers) == 0 {
@@ -196,13 +190,7 @@ func (fw *FleetWorker) AggregateStats() WorkerStats {
 		agg.Stage.DecodeSeconds += st.Stage.DecodeSeconds
 		agg.Stage.TransformSeconds += st.Stage.TransformSeconds
 		agg.Stage.DeliverSeconds += st.Stage.DeliverSeconds
-		agg.StorageRetries += st.StorageRetries
-		agg.StorageFailovers += st.StorageFailovers
-		agg.HedgedReads += st.HedgedReads
-		agg.HedgeWins += st.HedgeWins
-		agg.CorruptStripes += st.CorruptStripes
-		agg.Quarantines += st.Quarantines
-		agg.SplitsReleased += st.SplitsReleased
+		agg.addRecovery(st)
 	}
 	agg.BusyFrac /= float64(len(workers))
 	return agg
@@ -382,8 +370,8 @@ func (fw *FleetWorker) Run(stop <-chan struct{}) error {
 
 // ListenAndServeFleetWorker binds addr, registers a fleet worker
 // announcing the bound address as its shared data-plane endpoint, and
-// serves every hosted pipeline on it — framed streams and gob fetches
-// are routed to pipelines by the session ID they carry. tune adjusts
+// serves every hosted pipeline on it — framed streams are routed to
+// pipelines by the session ID in their hello. tune adjusts
 // the FleetWorker (heartbeat period, per-pipeline Tune) before serving
 // begins. The returned stop closes the listener.
 func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse.Warehouse, tune func(*FleetWorker)) (*FleetWorker, func(), error) {
@@ -399,12 +387,7 @@ func ListenAndServeFleetWorker(id, addr string, ctrl FleetControl, wh *warehouse
 	if tune != nil {
 		tune(fw)
 	}
-	stop, err := serveDataPlaneOn(&WorkerService{resolve: fw.source}, ln)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	return fw, stop, nil
+	return fw, serveDataPlaneOn(fw.source, ln), nil
 }
 
 // InProcessFleetLauncher launches fleet workers as goroutines against

@@ -50,11 +50,6 @@ type WorkerStats struct {
 	CacheStripeHits int64
 	CacheMisses     int64
 	CacheBytesSaved int64
-	// CacheWares lists the digests of wares resident in the node's
-	// cache (capped, most recent first); only fleet-worker aggregate
-	// heartbeats populate it, feeding the service's cross-node ware
-	// index. Gob-optional: absent from older senders.
-	CacheWares []string
 
 	// Storage self-healing counters (cumulative; gob-optional, zero
 	// from older senders): replica retries/failovers, hedged reads
@@ -67,6 +62,17 @@ type WorkerStats struct {
 	CorruptStripes   int64
 	Quarantines      int64
 	SplitsReleased   int64
+}
+
+// addRecovery adds o's storage self-healing counters to s.
+func (s *WorkerStats) addRecovery(o WorkerStats) {
+	s.StorageRetries += o.StorageRetries
+	s.StorageFailovers += o.StorageFailovers
+	s.HedgedReads += o.HedgedReads
+	s.HedgeWins += o.HedgeWins
+	s.CorruptStripes += o.CorruptStripes
+	s.Quarantines += o.Quarantines
+	s.SplitsReleased += o.SplitsReleased
 }
 
 // CacheHits sums transform- and stripe-level hits.
@@ -151,6 +157,12 @@ type Master struct {
 	completed []bool
 	nComplete int
 	workers   map[string]*workerInfo
+	// retired sums, per worker ID, the recovery counters last reported
+	// by incarnations that have left membership (deregistered or
+	// reaped): a fleet worker re-joining a session starts a fresh
+	// pipeline with zeroed counters, and WorkerStatsByID must stay
+	// cumulative across that churn.
+	retired map[string]WorkerStats
 	// seenParts / discovered / lastGen drive incremental split
 	// discovery on unbounded sessions; freshness accumulates per-split
 	// event-time→completion lag samples.
@@ -221,6 +233,7 @@ func NewMaster(wh *warehouse.Warehouse, spec SessionSpec) (*Master, error) {
 		spec:            spec,
 		inflight:        make(map[int]*lease),
 		workers:         make(map[string]*workerInfo),
+		retired:         make(map[string]WorkerStats),
 		poison:          make(map[int]int),
 		seenParts:       make(map[string]bool),
 		lastGen:         -1,
@@ -352,7 +365,7 @@ func (m *Master) DeregisterWorker(workerID string) error {
 	if _, ok := m.workers[workerID]; !ok {
 		return fmt.Errorf("dpp: unregistered worker %q", workerID)
 	}
-	delete(m.workers, workerID)
+	m.retireLocked(workerID)
 	for splitID, l := range m.inflight {
 		if l.worker == workerID {
 			delete(m.inflight, splitID)
@@ -584,9 +597,18 @@ func (m *Master) ReapDead() int {
 		}
 	}
 	for id := range dead {
-		delete(m.workers, id)
+		m.retireLocked(id)
 	}
 	return reassigned
+}
+
+// retireLocked removes a worker from membership, keeping its last
+// reported recovery counters in retired.
+func (m *Master) retireLocked(workerID string) {
+	r := m.retired[workerID]
+	r.addRecovery(m.workers[workerID].stats)
+	m.retired[workerID] = r
+	delete(m.workers, workerID)
 }
 
 // Drain marks a worker as draining: it receives no further splits but may
@@ -622,13 +644,20 @@ func (m *Master) PolicyStats() []WorkerStats { return m.WorkerStatsSnapshot() }
 // WorkerStatsByID returns the latest reported stats of every
 // registered worker (draining included), keyed by worker ID — the view
 // chaos tests and dashboards use to follow cumulative recovery counters
-// across worker churn.
+// across worker churn. The recovery counters cover every incarnation of
+// the ID in this session, and an ID that has left membership keeps
+// reporting the counters it departed with.
 func (m *Master) WorkerStatsByID() map[string]WorkerStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]WorkerStats, len(m.workers))
+	out := make(map[string]WorkerStats, len(m.workers)+len(m.retired))
+	for id, r := range m.retired {
+		out[id] = r
+	}
 	for id, w := range m.workers {
-		out[id] = w.stats
+		st := w.stats
+		st.addRecovery(m.retired[id])
+		out[id] = st
 	}
 	return out
 }

@@ -131,54 +131,6 @@ func (l *InProcessLauncher) Dial(ep WorkerEndpoint) (WorkerAPI, error) {
 	return LocalWorkerAPI(w), nil
 }
 
-// RPCLauncher launches workers that reach the master over net/rpc and
-// serve their data plane on their own TCP listener — the disaggregated
-// deployment of §3.2.1, hosted as goroutines so a single cmd/dppd
-// master process can elastically operate its worker fleet. Clients
-// resolve the workers' TCP endpoints via ListWorkers and dial them with
-// DialWorkerEndpoint.
-type RPCLauncher struct {
-	// MasterAddr is the master's RPC address.
-	MasterAddr string
-	// WH is the worker-side warehouse handle (every dppd role
-	// regenerates the same deterministic dataset).
-	WH *warehouse.Warehouse
-	// ListenAddr is the bind address pattern for worker data planes
-	// (default "127.0.0.1:0").
-	ListenAddr string
-	// Tune and OnError mirror InProcessLauncher.
-	Tune    func(*Worker)
-	OnError func(id string, err error)
-}
-
-// Launch implements WorkerLauncher.
-func (l *RPCLauncher) Launch(id string) (WorkerHandle, error) {
-	remote, err := DialMaster(l.MasterAddr)
-	if err != nil {
-		return nil, err
-	}
-	addr := l.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	w, stopServe, err := ListenAndServeWorker(id, addr, remote, l.WH, l.Tune)
-	if err != nil {
-		remote.Close()
-		return nil, err
-	}
-	h := &procHandle{id: id, stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		defer remote.Close()
-		defer stopServe()
-		if err := w.Run(h.stop); err != nil && l.OnError != nil {
-			l.OnError(id, err)
-		}
-		_ = w.Retire(h.stop)
-	}()
-	return h, nil
-}
-
 // managedWorker is the Orchestrator's view of one launched worker.
 type managedWorker struct {
 	handle   WorkerHandle

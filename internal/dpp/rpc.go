@@ -9,20 +9,19 @@ import (
 	"sync"
 	"time"
 
-	"dsi/internal/tensor"
 	"dsi/internal/warehouse"
 )
 
-// This file provides the TCP transport: the same Master/Worker logic
-// exposed over net/rpc with gob encoding, standing in for the paper's
-// Thrift RPC. The in-process transport remains the default for
-// simulations; cmd/dppd uses this one.
+// This file is the networked control plane: a Service's session
+// registry, fleet surface, and per-session Master surface exposed over
+// net/rpc with gob encoding, standing in for the paper's Thrift RPC.
+// The in-process calls remain the default for simulations; cmd/dppd
+// and the loop benchmark serve the Service with ServeService. Tensors
+// never cross this connection: they move on the framed data plane
+// (dataplane.go).
 
-// MasterService is the RPC wrapper around the control plane: every
-// method is session-scoped by its args' SessionID, with the empty ID
-// addressing the default session — so workers and clients from before
-// multi-tenancy (whose args carry no session field) keep working
-// against a Service hosting their session as the default.
+// MasterService is the RPC wrapper around the per-session control
+// plane: every method is scoped to one session by its args' SessionID.
 type MasterService struct {
 	svc *Service
 }
@@ -100,8 +99,7 @@ func (s *MasterService) NextSplit(args *NextSplitArgs, reply *NextSplitReply) er
 	return nil
 }
 
-// ListWorkersArgs scopes a membership resolution to one session (the
-// zero value — what old clients send — addresses the default session).
+// ListWorkersArgs scopes a membership resolution to one session.
 type ListWorkersArgs struct {
 	SessionID string
 }
@@ -293,7 +291,7 @@ const (
 // handshake — back off exponentially with jitter instead of
 // hot-spinning a core on the accept syscall; a successful accept resets
 // the backoff. The jitter decorrelates the retry times of the many
-// listeners one process hosts (master, service, per-worker data plane),
+// listeners one process hosts (service, per-worker data plane),
 // so an fd-exhaustion event doesn't turn into synchronized retry waves.
 func acceptLoop(ln net.Listener, done <-chan struct{}, handle func(net.Conn)) {
 	backoff := acceptBackoffMin
@@ -337,14 +335,6 @@ func dialRPC(addr string) (*rpc.Client, error) {
 	return rpc.NewClient(conn), nil
 }
 
-// ServeMaster listens on addr and serves the master over net/rpc as a
-// single-session service (the master becomes the default session). It
-// returns the bound listener (use its Addr for clients) and a stop
-// function.
-func ServeMaster(master *Master, addr string) (net.Listener, func(), error) {
-	return ServeService(NewSingleSessionService(master), addr)
-}
-
 // ServeService listens on addr and serves the multi-tenant control
 // plane over net/rpc: the session-scoped Master surface plus the
 // Service registry and fleet surface.
@@ -375,37 +365,12 @@ func ServeService(svc *Service, addr string) (net.Listener, func(), error) {
 }
 
 // RemoteMaster is a MasterAPI backed by an RPC connection, scoped to
-// one session of the served control plane (the empty session is the
-// default).
+// one session of the served control plane. RemoteService.SessionMaster
+// derives it from the service connection.
 type RemoteMaster struct {
 	client  *rpc.Client
 	session string
 }
-
-// DialMaster connects to the default session of a control plane served
-// by ServeMaster or ServeService.
-func DialMaster(addr string) (*RemoteMaster, error) {
-	return DialMasterSession(addr, "")
-}
-
-// DialMasterSession connects to one session's control plane.
-func DialMasterSession(addr, session string) (*RemoteMaster, error) {
-	client, err := dialRPC(addr)
-	if err != nil {
-		return nil, fmt.Errorf("dpp: dial master %s: %w", addr, err)
-	}
-	return &RemoteMaster{client: client, session: session}, nil
-}
-
-// Session derives a MasterAPI for another session over the same
-// connection (fleet workers hold one control connection and scope it
-// per pipeline).
-func (r *RemoteMaster) Session(session string) *RemoteMaster {
-	return &RemoteMaster{client: r.client, session: session}
-}
-
-// Close releases the connection (shared by Session derivations).
-func (r *RemoteMaster) Close() error { return r.client.Close() }
 
 // RegisterWorker implements MasterAPI.
 func (r *RemoteMaster) RegisterWorker(workerID, endpoint string) (SessionSpec, error) {
@@ -534,205 +499,6 @@ var (
 	_ FleetControl = (*RemoteService)(nil)
 	_ ServiceAPI   = (*RemoteService)(nil)
 )
-
-// WorkerService is the gob-unary RPC wrapper around a data-plane batch
-// source (normally a Worker; benchmarks serve synthetic sources). A
-// fleet worker hosting one pipeline per session sets resolve; plain
-// single-session workers serve src directly.
-type WorkerService struct {
-	src     BatchSource
-	stats   func() WorkerStats
-	resolve func(session string) (BatchSource, func() WorkerStats, error)
-}
-
-// source routes a session ID to its batch source. The empty session is
-// the wire-compatible default: requests from old clients (which carry
-// no session) land on the single hosted source, or on the fleet
-// worker's default-session pipeline.
-func (s *WorkerService) source(session string) (BatchSource, func() WorkerStats, error) {
-	if s.resolve != nil {
-		return s.resolve(session)
-	}
-	if session != "" {
-		return nil, nil, fmt.Errorf("dpp: worker hosts no session %q", session)
-	}
-	return s.src, s.stats, nil
-}
-
-// FetchArgs identifies the session the client fetches from. The zero
-// value (what pre-session clients send) addresses the default session.
-type FetchArgs struct {
-	SessionID string
-}
-
-// FetchReply carries one tensor batch. The batch's (Split, Seq,
-// SeqCount) provenance tags are exported fields of tensor.Batch, so
-// gob transports them with the batch itself.
-type FetchReply struct {
-	Batch *tensor.Batch
-	OK    bool
-	Done  bool
-}
-
-// Fetch pops one buffered batch. The pop is this transport's
-// consumption acknowledgement, which covers every fault the worker
-// side can observe (worker death, stream breaks). The residual hazard
-// is a reply lost in flight to a client that survives: the popped
-// batch was acked but never arrived, and its split completes without
-// those rows. The framed plane closes this window with explicit credit
-// grants; gob unary accepts it as part of its role as the measured
-// legacy baseline.
-func (s *WorkerService) Fetch(args *FetchArgs, reply *FetchReply) error {
-	src, _, err := s.source(args.SessionID)
-	if err != nil {
-		return err
-	}
-	if cs, ok := src.(crashSignaler); ok {
-		select {
-		case <-cs.crashedCh():
-			return fmt.Errorf("dpp: worker crashed")
-		default:
-		}
-	}
-	b, ok, done := src.TryGetBatch()
-	if ok {
-		ackAll(src, []*tensor.Batch{b})
-	}
-	reply.Batch, reply.OK, reply.Done = b, ok, done
-	return nil
-}
-
-// StatsArgs identifies the session whose pipeline stats are wanted (the
-// zero value addresses the default session).
-type StatsArgs struct {
-	SessionID string
-}
-
-// StatsReply carries a worker utilization snapshot, including the
-// pipelined data plane's per-stage busy breakdown.
-type StatsReply struct {
-	Stats WorkerStats
-}
-
-// Stats reports the worker's live utilization snapshot.
-func (s *WorkerService) Stats(args *StatsArgs, reply *StatsReply) error {
-	_, stats, err := s.source(args.SessionID)
-	if err != nil {
-		return err
-	}
-	if stats != nil {
-		reply.Stats = stats()
-	}
-	return nil
-}
-
-// ServeWorker exposes a worker's buffer over net/rpc.
-func ServeWorker(worker *Worker, addr string) (net.Listener, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	stop, err := ServeWorkerOn(worker, ln)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	return ln, stop, nil
-}
-
-// ListenAndServeWorker binds addr, registers a new worker announcing
-// the bound address as its data-plane endpoint, and serves its buffer
-// over net/rpc — the canonical way a TCP worker joins a session (used
-// by cmd/dppd's worker role and the RPCLauncher). tune, when non-nil,
-// adjusts the worker after construction but before the data plane
-// starts serving (so no RPC can observe a half-tuned worker). The
-// returned stop closes the listener.
-func ListenAndServeWorker(id, addr string, master MasterAPI, wh *warehouse.Warehouse, tune func(*Worker)) (*Worker, func(), error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := NewWorkerWithEndpoint(id, advertiseAddr(ln.Addr()), master, wh)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	if tune != nil {
-		tune(w)
-	}
-	stop, err := ServeWorkerOn(w, ln)
-	if err != nil {
-		ln.Close()
-		return nil, nil, err
-	}
-	return w, stop, nil
-}
-
-// ServeWorkerOn exposes a worker's buffer on an existing listener, over
-// both data planes: framed streaming for clients that open with the
-// protocol magic, gob net/rpc for everyone else (see dataplane.go).
-// Binding the listener first lets a worker register its real data-plane
-// address with the master before serving (the elastic flow: listen →
-// NewWorkerWithEndpoint → serve).
-func ServeWorkerOn(worker *Worker, ln net.Listener) (func(), error) {
-	return serveDataPlaneOn(&WorkerService{src: worker, stats: worker.Stats}, ln)
-}
-
-// RemoteWorker is a WorkerAPI backed by an RPC connection, addressing
-// one session's pipeline (the empty session is the default).
-type RemoteWorker struct {
-	client  *rpc.Client
-	session string
-}
-
-// DialWorker connects to a worker served by ServeWorker (default
-// session).
-func DialWorker(addr string) (*RemoteWorker, error) {
-	return DialWorkerSession(addr, "")
-}
-
-// DialWorkerSession connects to one session's pipeline on a worker's
-// data-plane listener over the gob-unary transport.
-func DialWorkerSession(addr, session string) (*RemoteWorker, error) {
-	client, err := dialRPC(addr)
-	if err != nil {
-		return nil, fmt.Errorf("dpp: dial worker %s: %w", addr, err)
-	}
-	return &RemoteWorker{client: client, session: session}, nil
-}
-
-// Close releases the connection.
-func (r *RemoteWorker) Close() error { return r.client.Close() }
-
-// FetchBatch implements WorkerAPI.
-func (r *RemoteWorker) FetchBatch() (*tensor.Batch, bool, bool, error) {
-	var reply FetchReply
-	if err := r.client.Call("Worker.Fetch", &FetchArgs{SessionID: r.session}, &reply); err != nil {
-		if errors.Is(err, rpc.ErrShutdown) {
-			return nil, false, true, nil
-		}
-		return nil, false, false, err
-	}
-	return reply.Batch, reply.OK, reply.Done, nil
-}
-
-// Stats fetches the worker's live utilization snapshot, including the
-// per-stage pipeline breakdown.
-func (r *RemoteWorker) Stats() (WorkerStats, error) {
-	var reply StatsReply
-	if err := r.client.Call("Worker.Stats", &StatsArgs{SessionID: r.session}, &reply); err != nil {
-		return WorkerStats{}, err
-	}
-	return reply.Stats, nil
-}
-
-var _ WorkerAPI = (*RemoteWorker)(nil)
-
-// DialWorkerEndpoint is the WorkerDialer for TCP-served workers: it
-// connects to the endpoint the worker registered with the master.
-func DialWorkerEndpoint(ep WorkerEndpoint) (WorkerAPI, error) {
-	return DialWorker(ep.Endpoint)
-}
 
 // advertiseAddr converts a bound listener address into a dialable
 // endpoint: a wildcard bind ("-addr :7071" yields host "::") is not

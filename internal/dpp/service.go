@@ -44,10 +44,6 @@ import (
 // starvation/oversupply signals, and every Step re-runs the fair-share
 // rebalance.
 
-// DefaultSessionID is the session addressed by clients and workers that
-// carry no session ID — the wire-compatible single-tenant deployment.
-const DefaultSessionID = ""
-
 // SessionInfo is one tenant's registry entry as reported by
 // ListSessions.
 type SessionInfo struct {
@@ -150,27 +146,10 @@ func NewService(wh *warehouse.Warehouse) *Service {
 	}
 }
 
-// NewSingleSessionService hosts an existing master as the default
-// session — the wire-compatible single-tenant deployment ServeMaster
-// exposes. CreateSession still works when the service was built over a
-// warehouse; here it is rejected (no warehouse to plan sessions from).
-func NewSingleSessionService(m *Master) *Service {
-	s := NewService(nil)
-	s.sessions[DefaultSessionID] = &svcSession{
-		id:     DefaultSessionID,
-		weight: 1,
-		master: m,
-	}
-	return s
-}
-
 // CreateSession implements ServiceAPI: it plans a new tenant session
 // (enumerating its splits through a fresh Master) and registers it for
 // fair-share capacity at the spec's Weight.
 func (s *Service) CreateSession(id string, spec SessionSpec) error {
-	if s.wh == nil {
-		return fmt.Errorf("dpp: service has no warehouse; cannot create sessions")
-	}
 	if len(id) > maxSessionIDLen {
 		return fmt.Errorf("dpp: session ID %q exceeds %d bytes", id, maxSessionIDLen)
 	}
@@ -315,46 +294,6 @@ func (s *Service) FleetHeartbeat(workerID string, stats WorkerStats) (FleetDirec
 	}
 	sort.Strings(d.Sessions)
 	return d, nil
-}
-
-// WareIndex is the service's cross-node view of the fleet's content-
-// addressed caches, derived from each member's last heartbeat (fleet
-// workers ship their resident ware digests with AggregateStats): ware
-// digest → IDs of the workers whose cache holds it, sorted. Entries
-// vanish with their holders (eviction, drain, reap), so the index is
-// observational and eventually consistent — a scheduler hint for
-// placing sessions near warm data, never a correctness input.
-func (s *Service) WareIndex() map[string][]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := make(map[string][]string)
-	for _, fm := range s.fleet {
-		for _, w := range fm.stats.CacheWares {
-			idx[w] = append(idx[w], fm.id)
-		}
-	}
-	for _, holders := range idx {
-		sort.Strings(holders)
-	}
-	return idx
-}
-
-// WareHolders reports which fleet workers hold one ware digest, per
-// their last heartbeats (sorted; empty when nobody does).
-func (s *Service) WareHolders(ware string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var holders []string
-	for _, fm := range s.fleet {
-		for _, w := range fm.stats.CacheWares {
-			if w == ware {
-				holders = append(holders, fm.id)
-				break
-			}
-		}
-	}
-	sort.Strings(holders)
-	return holders
 }
 
 // DeregisterFleetWorker implements FleetControl.

@@ -539,7 +539,7 @@ func TestReapRequeuesStaleWorkerMidStream(t *testing.T) {
 	if _, _, ok, _, err := m.NextSplit("stale-w"); err != nil || !ok {
 		t.Fatalf("lease failed: ok=%v err=%v", ok, err)
 	}
-	ln, stopServe, err := ServeWorker(w, "127.0.0.1:0")
+	ln, stopServe, err := ServeBatchSource(w, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 //   - The Orchestrator closes the auto-scaling loop around the Master:
 //     it periodically evaluates worker heartbeats with the AutoScaler
 //     policy and launches or drains workers through a WorkerLauncher
-//     (InProcessLauncher for goroutine workers, RPCLauncher for
-//     TCP-served ones), reaps retired workers, and takes periodic
+//     (InProcessLauncher for goroutine workers; the fleet launchers
+//     below for the Service), reaps retired workers, and takes periodic
 //     reader-state checkpoints. Scale actions respect up/down cooldowns
 //     measured on an internal/clock virtual clock, so tests drive the
 //     identical control law deterministically via Step and Advance.
@@ -45,11 +45,10 @@
 //     apportionment, within one worker of each tenant's quota);
 //     assignments reach workers with their fleet heartbeats.
 //   - A FleetWorker runs one pipeline (a Worker) per assigned session
-//     behind one shared data-plane listener; framed hellos and gob
-//     fetches carry a session ID that routes to the right pipeline,
-//     with the empty session as the wire-compatible default for old
-//     clients. Revoking an assignment drains the pipeline through the
-//     ordinary drain protocol, so rebalancing never loses rows.
+//     behind one shared data-plane listener; each framed stream's hello
+//     carries the session ID that routes it to the right pipeline.
+//     Revoking an assignment drains the pipeline through the ordinary
+//     drain protocol, so rebalancing never loses rows.
 //   - The same Orchestrator control law runs fleet-wide
 //     (NewFleetOrchestrator): pool size follows tenant-aggregated
 //     starvation and oversupply, scale-down drains whole fleet
@@ -61,51 +60,45 @@
 //     plus the transform plan fingerprint — so overlapping sessions of
 //     any tenant reuse each other's decode and transform work.
 //     Eviction is weight-aware (per-tenant byte floors mirroring fair
-//     share), entries are refcounted dwrf batches, and each node's
-//     resident wares ride its heartbeat into the service's
-//     observational cross-node index (WareIndex / WareHolders).
+//     share), and entries are refcounted dwrf batches.
 //
 // Delivery is exactly-once even across non-graceful worker death: a
 // split is acknowledged to its master only when every batch it
 // produced has been consumed by a client (framed credit grants,
-// gob/in-process pops), every batch carries (Split, Seq) provenance,
+// in-process pops), every batch carries (Split, Seq) provenance,
 // and clients deduplicate redelivery when a crashed worker's requeued
 // leases re-run. Worker.Crash and the launchers' Crash methods are the
 // fault-injection harness that pins this down in tests.
 //
 // The package supports two transports: direct in-process calls (used by
-// simulations and tests) and TCP (cmd/dppd), exercising the same
-// Master/Worker/Client/Orchestrator logic.
+// simulations and tests) and TCP (cmd/dppd, the loop benchmark). Over
+// TCP the control plane is a Service served with ServeService — the
+// session registry, the fleet surface, and every session's Master
+// surface over net/rpc — and networked workers are FleetWorkers joining
+// it (ListenAndServeFleetWorker); a single networked session is a
+// Service hosting one session.
 //
-// Over TCP the worker→trainer data plane itself has two wire encodings,
-// served simultaneously on every worker's listener (the accept path
-// sniffs the first bytes of each connection):
+// The TCP worker→trainer data plane has one wire encoding, framed
+// streaming (DialWorkerFramedSession, SessionWorkerDialer; protocol in
+// dataplane.go): the client opens one stream per worker and session
+// with a hello carrying a credit window, and the worker pushes
+// length-prefixed flat-binary batch frames as its delivery stage
+// produces them, decrementing credit per frame. The client grants one
+// credit per consumed batch, so at most a window of batches is in
+// flight and a stalled trainer propagates backpressure into the
+// worker's bounded buffer. Frames are encoded once into pooled buffers
+// and decode into pool-backed tensors the trainer returns with
+// tensor.Batch.Release. When a stream is dropped mid-session (a drained
+// worker deregistering, a rebalance) the client first half-closes and
+// rescues the received window on a side goroutine, and when a stream
+// breaks abnormally (reset, truncated or oversized frame) the worker
+// requeues the un-granted window into its buffer while the client
+// discards its partial copy — so exactly-once delivery survives
+// membership churn and transient connection failures alike.
 //
-//   - Framed streaming (DialWorkerFramed / DialWorkerEndpointFramed):
-//     the client opens one stream per worker with a hello carrying a
-//     credit window ("DSI1" | version | u32 window); the worker answers
-//     ("DSI1" | version) and pushes length-prefixed flat-binary batch
-//     frames (u8 kind | u32 length | tensor frame; kind 2 = done) as
-//     its delivery stage produces them, decrementing credit per frame.
-//     The client grants one u32 credit per consumed batch, so at most a
-//     window of batches is in flight and a stalled trainer propagates
-//     backpressure into the worker's bounded buffer. Frames are encoded
-//     once into pooled buffers and decode into pool-backed tensors the
-//     trainer returns with tensor.Batch.Release. When a stream is
-//     dropped mid-session (a drained worker deregistering, a rebalance)
-//     the client first half-closes and rescues the received window on a
-//     side goroutine, and when a stream breaks abnormally (reset,
-//     truncated frame) the worker requeues the un-granted window into
-//     its buffer while the client discards its partial copy — so
-//     exactly-once delivery survives membership churn and transient
-//     connection failures alike.
-//   - Gob unary (DialWorker / DialWorkerEndpoint): one net/rpc
-//     Worker.Fetch round trip per batch with reflection-driven gob
-//     encoding — the paper's "datacenter tax" baseline, kept both as
-//     the fallback DialWorkerFramed uses automatically when a worker
-//     does not answer the framed hello (old workers in mixed fleets)
-//     and as a measurable comparison point (cmd/dppd -dataplane=gob,
-//     BenchmarkDPPWireFormat).
+// SessionSpec.DataPlane does not select the wire: it names the
+// encoding the resource model prices (framed, or the Thrift-style gob
+// encoding whose datacenter tax the paper measures; see CostParams).
 package dpp
 
 import (
@@ -158,13 +151,13 @@ type SessionSpec struct {
 	// §3.2.1's per-job capacity assignment). Zero or negative defaults
 	// to 1; single-session deployments ignore it.
 	Weight float64
-	// DataPlane selects the worker→trainer wire encoding the session is
-	// modelled (and, via cmd/dppd, operated) on: DataPlaneFramed for the
-	// streaming flat-binary transport or DataPlaneGob for unary net/rpc
-	// gob. Empty defaults to gob — the Thrift-style encoding whose
+	// DataPlane names the worker→trainer encoding the resource model
+	// prices for this session; the wire itself is always framed.
+	// DataPlaneFramed prices the flat-binary codec
+	// (FramedTaxCyclesPerByte); DataPlaneGob, and the empty default,
+	// price a Thrift-style reflective encoding (TaxCyclesPerByte) — the
 	// datacenter tax the paper measures — so the reproduction's modelled
-	// baselines are unchanged unless a session opts into the framed
-	// plane.
+	// baselines are unchanged unless a session opts into framed pricing.
 	DataPlane string
 	// Costs tunes the worker resource model; zero value means defaults.
 	Costs CostParams
@@ -303,15 +296,15 @@ type CostParams struct {
 	// optimizations (LO) are enabled. Paper: +28% throughput.
 	LocalOptFactor float64
 	// TaxCyclesPerByte is the datacenter-tax CPU per network byte moved
-	// (TLS, Thrift) — the cost of the gob-unary data plane's
-	// reflection-driven (de)serialization, applied to all RX bytes and,
-	// under DataPlaneGob, to tensor TX bytes.
+	// (TLS, Thrift) — the cost of a reflection-driven (de)serialization,
+	// applied to all RX bytes and, when the session's modelled encoding
+	// is DataPlaneGob (or unset), to tensor TX bytes.
 	TaxCyclesPerByte float64
-	// FramedTaxCyclesPerByte is the tax on tensor TX bytes under
-	// DataPlaneFramed: the flat-binary codec's single append pass
-	// replaces the reflective encode, leaving mostly the TLS share of
-	// the tax (§6.2 splits the tax roughly evenly between TLS and
-	// (de)serialization).
+	// FramedTaxCyclesPerByte is the tax on tensor TX bytes when the
+	// modelled encoding is DataPlaneFramed: the flat-binary codec's
+	// single append pass replaces the reflective encode, leaving mostly
+	// the TLS share of the tax (§6.2 splits the tax roughly evenly
+	// between TLS and (de)serialization).
 	FramedTaxCyclesPerByte float64
 	// TLSMemAmplification multiplies memory traffic for NIC bytes
 	// (paper: TLS amplifies memory bandwidth 3x).

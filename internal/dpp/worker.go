@@ -440,10 +440,10 @@ func (w *Worker) finishSplit(splitID int, delivered bool) {
 }
 
 // ackConsumed records that a client irrevocably consumed a batch (an
-// in-process or gob-unary pop, a framed credit grant, or a gracefully
-// rescued stream window) and completes any split whose batches have now
-// all been consumed. Untagged batches and batches of unknown splits
-// (double acks after a requeue race) are ignored.
+// in-process pop, a framed credit grant, or a gracefully rescued stream
+// window) and completes any split whose batches have now all been
+// consumed. Untagged batches and batches of unknown splits (double acks
+// after a requeue race) are ignored.
 func (w *Worker) ackConsumed(batches ...*tensor.Batch) {
 	var complete []int
 	w.mu.Lock()
@@ -689,9 +689,9 @@ func (w *Worker) transformFetched(f fetchedSplit) (transformed, error) {
 func (w *Worker) accountSplit(readStats dwrf.ReadStats, tr transformed) {
 	costs := w.spec.Costs
 	// The RX tax (storage fetch TLS + decode framing) is encoding-
-	// independent; the TX tax depends on the session's data plane: the
-	// framed codec's flat append pass replaces gob's reflective encode
-	// on every tensor byte sent to trainers.
+	// independent; the TX tax depends on the session's modelled
+	// encoding: the framed codec's flat append pass replaces gob's
+	// reflective encode on every tensor byte sent to trainers.
 	txTax := costs.TaxCyclesPerByte
 	if w.spec.DataPlane == DataPlaneFramed {
 		txTax = costs.FramedTaxCyclesPerByte
@@ -819,9 +819,9 @@ func (w *Worker) GetBatch() (*tensor.Batch, bool) {
 // the worker has finished and drained. The pop is NOT a consumption
 // acknowledgement: transports that can still lose the batch (a framed
 // stream's in-flight window) ack later, while direct local consumers
-// (GetBatch, LocalWorkerAPI, the gob Fetch handler) ack immediately
-// after the pop. A crashed worker serves nothing and never reports
-// done — it is simply unreachable, like a dead process.
+// (GetBatch, LocalWorkerAPI) ack immediately after the pop. A crashed
+// worker serves nothing and never reports done — it is simply
+// unreachable, like a dead process.
 func (w *Worker) TryGetBatch() (b *tensor.Batch, ok, done bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -913,8 +913,7 @@ func (w *Worker) setDraining() {
 
 // Crash is the fault-injection hook: it kills the worker as a process
 // death would, with no drain and no deregistration. The data plane goes
-// dark immediately (framed streams sever, gob fetches error, the buffer
-// stops serving), heartbeats stop as soon as Run unwinds, and nothing is
+// dark immediately (framed streams sever, the buffer stops serving), heartbeats stop as soon as Run unwinds, and nothing is
 // acknowledged or handed off — the master discovers the death through
 // ReapDead's heartbeat staleness, requeues the leases of every split the
 // crashed worker had not fully delivered, and the session re-runs them
@@ -1236,6 +1235,9 @@ drain:
 		case <-time.After(time.Millisecond):
 		}
 	}
+	// One last best-effort heartbeat so the master holds the worker's
+	// final cumulative counters when it leaves membership.
+	_ = w.master.Heartbeat(w.ID, w.heartbeatStats())
 	return w.master.DeregisterWorker(w.ID)
 }
 

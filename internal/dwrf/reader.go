@@ -222,13 +222,36 @@ type Reader struct {
 	path    string
 	footer  FileFooter
 
-	// openStats is the recovery accounting of the footer fetch itself
-	// (retries, hedges, quarantines planted while healing a corrupt
-	// footer). It is folded into the stats of the first stripe fetch —
+	// pending is recovery accounting not yet reported: the footer
+	// fetch's own work (retries, hedges, quarantines planted while
+	// healing a corrupt footer), plus any a discarded duplicate open
+	// handed over (AbsorbOpenStats). The next stripe fetch drains it —
 	// OpenReader has no stats return of its own, and the footer read is
 	// as much a part of the self-healing read path as any stripe read.
-	openOnce  sync.Once
-	openStats ReadStats
+	pendingMu sync.Mutex
+	pending   ReadStats
+}
+
+// takePending returns and clears the unreported recovery accounting.
+func (r *Reader) takePending() ReadStats {
+	r.pendingMu.Lock()
+	defer r.pendingMu.Unlock()
+	s := r.pending
+	r.pending = ReadStats{}
+	return s
+}
+
+// AbsorbOpenStats moves dup's unreported accounting onto r. A caller
+// that opened dup concurrently with r and keeps only r calls it so the
+// recovery work dup's footer fetch performed is still reported.
+func (r *Reader) AbsorbOpenStats(dup *Reader) {
+	if dup == r {
+		return
+	}
+	s := dup.takePending()
+	r.pendingMu.Lock()
+	r.pending.add(s)
+	r.pendingMu.Unlock()
 }
 
 // OpenReader fetches and parses the file footer. The footer carries no
@@ -250,7 +273,7 @@ func OpenReader(cluster *tectonic.Cluster, path string) (*Reader, error) {
 		r, served, s, err := openReaderAttempt(cluster, path, size)
 		open.add(s)
 		if err == nil {
-			r.openStats = open
+			r.pending = open
 			return r, nil
 		}
 		lastErr = err
@@ -539,10 +562,9 @@ func getEncBuf(n int64) *[]byte {
 // fails permanently only when no fresh replica remains, i.e. every
 // replica disagrees with the recorded hash.
 func (r *Reader) fetchStripe(meta *StripeMeta, proj *schema.Projection, opts ReadOptions) (map[int64][]byte, []StreamMeta, ReadStats, error) {
-	var stats ReadStats
-	// The footer fetch's recovery work reports through the first stripe
-	// read so it reaches ResourceReport/WorkerStats like any other read.
-	r.openOnce.Do(func() { stats.add(r.openStats) })
+	// Footer-fetch recovery work reports through the next stripe read
+	// so it reaches ResourceReport/WorkerStats like any other read.
+	stats := r.takePending()
 	attempts := r.cluster.Replication() + 1
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {

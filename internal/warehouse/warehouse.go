@@ -567,7 +567,11 @@ func (w *Warehouse) CachedReader(path string) (*dwrf.Reader, error) {
 	}
 	w.readerMu.Lock()
 	if el, ok := w.readers[path]; ok {
-		r = el.Value.(*readerEntry).r // lost an open race; keep the first instance
+		// Lost an open race: keep the first instance, carrying over
+		// whatever recovery work this open's footer fetch did.
+		kept := el.Value.(*readerEntry).r
+		kept.AbsorbOpenStats(r)
+		r = kept
 		w.readerLRU.MoveToFront(el)
 	} else {
 		w.readers[path] = w.readerLRU.PushFront(&readerEntry{path: path, r: r})
