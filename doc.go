@@ -139,7 +139,7 @@
 // budget. Write recovery counters ride dwrf.WriteStats into
 // Pipeline.WriterStats; TestEndToEndStreamingIngestChaos pins exact
 // per-tenant checksums through a combined write+read storm
-// (BENCH_writefaults.json pins the no-faults overhead under 1%), and
+// (BENCH_writefaults.json shows no measurable no-faults overhead), and
 // `dppd -role ingest -write-fault-seed` demos the storm over TCP.
 //
 // The implementation lives under internal/; see README.md for the

@@ -245,17 +245,17 @@ func cryptStream(data []byte, fileOffset int64) error {
 	return cryptStreamTo(data, data, fileOffset)
 }
 
-// compress deflates data.
-func compress(data []byte) ([]byte, error) {
+// compress deflates data with zw into a fresh buffer. The caller owns
+// the compressor: compress only Resets it, so one flate.Writer (~1 MiB of
+// match tables) serves every stream of a stripe flush instead of being
+// built per stream. Reset output is byte-identical to a new writer's.
+func compress(zw *flate.Writer, data []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, fmt.Errorf("dwrf: flate: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
+	zw.Reset(&buf)
+	if _, err := zw.Write(data); err != nil {
 		return nil, fmt.Errorf("dwrf: compress: %w", err)
 	}
-	if err := w.Close(); err != nil {
+	if err := zw.Close(); err != nil {
 		return nil, fmt.Errorf("dwrf: compress close: %w", err)
 	}
 	return buf.Bytes(), nil

@@ -2,6 +2,7 @@ package dwrf
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
@@ -197,10 +198,10 @@ func scramble(id schema.FeatureID) uint32 {
 	return x
 }
 
-// appendStream compresses, encrypts and appends one stream, recording its
-// metadata.
-func (w *Writer) appendStream(meta *StripeMeta, kind streamKind, feature schema.FeatureID, enc StreamEncoding, payload []byte) error {
-	comp, err := compress(payload)
+// appendStream compresses with zw, encrypts and appends one stream,
+// recording its metadata.
+func (w *Writer) appendStream(zw *flate.Writer, meta *StripeMeta, kind streamKind, feature schema.FeatureID, enc StreamEncoding, payload []byte) error {
+	comp, err := compress(zw, payload)
 	if err != nil {
 		return err
 	}
@@ -234,13 +235,21 @@ func (w *Writer) flushStripe() error {
 		return nil
 	}
 	meta := StripeMeta{Offset: w.offset, Rows: len(rows)}
+	// One compressor serves every stream of this stripe and is dropped
+	// when the flush returns: a writer-lifetime one would pin ~1 MiB per
+	// open partition between stripes, and a shared pool would keep its
+	// writers alive across GCs.
+	zw, err := flate.NewWriter(nil, flate.BestSpeed)
+	if err != nil {
+		return fmt.Errorf("dwrf: flate: %w", err)
+	}
 
 	if !w.opts.Flatten {
-		if err := w.appendStream(&meta, streamRowData, 0, EncPlain, w.enc.encodeRowData(rows)); err != nil {
+		if err := w.appendStream(zw, &meta, streamRowData, 0, EncPlain, w.enc.encodeRowData(rows)); err != nil {
 			return err
 		}
 	} else {
-		if err := w.appendStream(&meta, streamLabel, 0, EncPlain, w.enc.encodeLabels(rows)); err != nil {
+		if err := w.appendStream(zw, &meta, streamLabel, 0, EncPlain, w.enc.encodeLabels(rows)); err != nil {
 			return err
 		}
 		for _, id := range w.streamLayout(rows) {
@@ -264,7 +273,7 @@ func (w *Writer) flushStripe() error {
 			default:
 				return fmt.Errorf("dwrf: unknown feature kind %v", col.Kind)
 			}
-			if err := w.appendStream(&meta, kind, id, enc, payload); err != nil {
+			if err := w.appendStream(zw, &meta, kind, id, enc, payload); err != nil {
 				return err
 			}
 		}

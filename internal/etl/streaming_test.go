@@ -1,6 +1,8 @@
 package etl
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
@@ -48,6 +50,44 @@ func TestJoinerSkipsPoisonRecords(t *testing.T) {
 	}
 	if j.Joined.Value() != 2 || len(sink.samples) != 2 {
 		t.Fatalf("valid records around the poison were lost: joined=%d emitted=%d", j.Joined.Value(), len(sink.samples))
+	}
+}
+
+// An older producer logged gob-encoded records. The binary codec refuses
+// them on their first byte, so after an upgrade a gob-era record left in
+// the backlog is counted as poison and the join goes on around it.
+func TestJoinerSkipsGobEraPayloads(t *testing.T) {
+	bus := scribe.NewBus(logdevice.NewStore())
+	sink := &collectSink{}
+	j := NewJoiner("m", bus, sink)
+
+	gobPublish := func(category string, v any) {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bus.Publish(scribe.Message{Category: category, Payload: buf.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gobPublish(datagen.FeatureCategory("m"), &datagen.FeatureLog{
+		RequestID: 1,
+		Dense:     map[schema.FeatureID]float32{1: 1},
+		Sparse:    map[schema.FeatureID][]int64{2: {1, 2}},
+		EventTime: 7,
+	})
+	publishFeature(t, bus, "m", 2)
+	gobPublish(datagen.EventCategory("m"), &datagen.EventLog{RequestID: 1, Engaged: true})
+	publishEvent(t, bus, "m", 2, true)
+
+	if _, err := j.Step(100); err != nil {
+		t.Fatalf("Step errored on a gob-era record: %v", err)
+	}
+	if j.Poisoned.Value() != 2 {
+		t.Fatalf("Poisoned = %d, want 2", j.Poisoned.Value())
+	}
+	if j.Joined.Value() != 1 || len(sink.samples) != 1 || sink.samples[0].Label != 1 {
+		t.Fatalf("the binary-coded pair was not joined: joined=%d emitted=%d", j.Joined.Value(), len(sink.samples))
 	}
 }
 
