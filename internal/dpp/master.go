@@ -389,9 +389,9 @@ func (m *Master) NextSplit(workerID string) (warehouse.Split, int, bool, bool, e
 	w.lastSeen = m.now()
 	if len(m.pending) == 0 {
 		// Unbounded sessions poll the table for freshly sealed
-		// partitions exactly when a worker runs out of work — workers'
-		// fetch loops re-poll on a short backoff, so no notification
-		// plumbing is needed.
+		// partitions exactly when a worker runs out of work; an idle
+		// worker's fetch loop re-asks when its warehouse's table seals
+		// a partition (Table.Changed), or on a short backoff.
 		if err := m.refreshLocked(); err != nil {
 			return warehouse.Split{}, 0, false, false, err
 		}

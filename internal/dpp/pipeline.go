@@ -8,6 +8,7 @@ import (
 	"dsi/internal/dwrf"
 	"dsi/internal/tectonic"
 	"dsi/internal/ware"
+	"dsi/internal/warehouse"
 )
 
 // This file implements the worker's pipelined data plane: the strictly
@@ -201,20 +202,51 @@ func (w *Worker) runPipelined(stop <-chan struct{}) error {
 	return abort.firstErr()
 }
 
+// idleWait blocks an idle fetcher until this worker completes a split
+// (splitDone), the tailed table changes (sealed), or the backoff timer
+// fires. It reports false when abort closes first. A nil channel never
+// fires, so a fetcher with no tailed table waits on splitDone and the
+// timer.
+func idleWait(abort, splitDone, sealed <-chan struct{}, timer <-chan time.Time) bool {
+	select {
+	case <-abort:
+		return false
+	case <-splitDone:
+	case <-sealed:
+	case <-timer:
+	}
+	return true
+}
+
 // fetchLoop is one fetch-pool goroutine: it leases splits until the
 // session is done, decoding each through the cached-reader path.
 func (w *Worker) fetchLoop(out chan<- fetchedSplit, abort *pipelineAbort) {
-	// Idle polling backs off exponentially so a worker waiting on
-	// splits leased elsewhere doesn't hammer a remote master with RPCs
-	// during the session tail; the local splitDone signal still ends
-	// the wait immediately when this worker completes a split.
+	// An idle fetcher wakes on local events: this worker completing a
+	// split (splitDone) or, when the session tails an unbounded table
+	// in this worker's warehouse, the table sealing a partition or
+	// closing its stream. The exponential backoff covers what no local
+	// channel signals (completions and releases on other workers) and
+	// keeps a worker from hammering a remote master with RPCs during
+	// the session tail.
 	const maxBackoff = 50 * time.Millisecond
 	backoff := time.Millisecond
+	var table *warehouse.Table
+	if w.wh != nil {
+		if t, err := w.wh.Table(w.spec.Table); err == nil && t.Unbounded() {
+			table = t
+		}
+	}
 	for {
 		select {
 		case <-abort.ch:
 			return
 		default:
+		}
+		// Take the seal channel before asking for work, so a seal that
+		// lands after the master's refresh still ends the idle wait.
+		var sealed <-chan struct{}
+		if table != nil {
+			sealed = table.Changed()
 		}
 		split, splitID, ok, draining, err := w.master.NextSplit(w.ID)
 		if err != nil {
@@ -238,17 +270,13 @@ func (w *Worker) fetchLoop(out chan<- fetchedSplit, abort *pipelineAbort) {
 				return
 			}
 			// The remaining splits are leased (to this worker's deliver
-			// stage or to other workers); wait for a completion signal
-			// before re-checking, with a backed-off timeout covering
-			// completions on other workers.
+			// stage or to other workers) or not sealed yet; wait for a
+			// completion or a seal before re-checking.
 			w.mu.Lock()
-			wait := w.splitDone
+			splitDone := w.splitDone
 			w.mu.Unlock()
-			select {
-			case <-abort.ch:
+			if !idleWait(abort.ch, splitDone, sealed, time.After(backoff)) {
 				return
-			case <-wait:
-			case <-time.After(backoff):
 			}
 			if backoff *= 2; backoff > maxBackoff {
 				backoff = maxBackoff

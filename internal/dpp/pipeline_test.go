@@ -333,3 +333,21 @@ func TestHeartbeatRenewsInflightLeases(t *testing.T) {
 		t.Fatalf("ReapDead = %d after silence, want 1", got)
 	}
 }
+
+// TestIdleWaitWakesOnSeal pins the idle fetcher's wake-ups with a timer
+// that never fires (nil): a closed table channel or a local split
+// completion ends the wait, and an abort ends it with false.
+func TestIdleWaitWakesOnSeal(t *testing.T) {
+	closed := make(chan struct{})
+	close(closed)
+	open := make(chan struct{})
+	if !idleWait(open, open, closed, nil) {
+		t.Fatal("a closed table channel ended the wait as an abort")
+	}
+	if !idleWait(open, closed, nil, nil) {
+		t.Fatal("a split completion ended the wait as an abort")
+	}
+	if idleWait(closed, open, nil, nil) {
+		t.Fatal("an abort ended the wait as a wake-up")
+	}
+}

@@ -60,6 +60,7 @@ package dwrf
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"crypto/aes"
 	"crypto/cipher"
@@ -67,7 +68,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"dsi/internal/schema"
@@ -246,9 +247,10 @@ func cryptStream(data []byte, fileOffset int64) error {
 }
 
 // compress deflates data with zw into a fresh buffer. The caller owns
-// the compressor: compress only Resets it, so one flate.Writer (~1 MiB of
-// match tables) serves every stream of a stripe flush instead of being
-// built per stream. Reset output is byte-identical to a new writer's.
+// the compressor: compress only Resets it, so each of a writer's encode
+// lanes keeps one flate.Writer (~1 MiB of match tables) for the writer's
+// life instead of building one per stream. Reset output is
+// byte-identical to a new writer's.
 func compress(zw *flate.Writer, data []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	zw.Reset(&buf)
@@ -531,7 +533,7 @@ func (e *stripeEncoder) encodeDense(rows []*schema.Sample, id schema.FeatureID, 
 // buildDict fills e.dict with the sorted distinct values of e.vals.
 func (e *stripeEncoder) buildDict() {
 	e.dict = append(e.dict[:0], e.vals...)
-	sort.Slice(e.dict, func(i, j int) bool { return e.dict[i] < e.dict[j] })
+	slices.Sort(e.dict)
 	out := e.dict[:0]
 	for i, v := range e.dict {
 		if i == 0 || v != out[len(out)-1] {
@@ -543,7 +545,8 @@ func (e *stripeEncoder) buildDict() {
 
 // dictIdx returns v's index in the sorted dictionary.
 func dictIdx(dict []int64, v int64) uint32 {
-	return uint32(sort.Search(len(dict), func(i int) bool { return dict[i] >= v }))
+	i, _ := slices.BinarySearch(dict, v)
+	return uint32(i)
 }
 
 // encodeSparse encodes a sparse feature column, picking the smallest of
@@ -655,7 +658,7 @@ func (e *stripeEncoder) encodeSparse(rows []*schema.Sample, id schema.FeatureID,
 // pairs of e.svals.
 func (e *stripeEncoder) buildScoredDict() {
 	e.sdict = append(e.sdict[:0], e.svals...)
-	sort.Slice(e.sdict, func(i, j int) bool { return scoredLess(e.sdict[i], e.sdict[j]) })
+	slices.SortFunc(e.sdict, scoredCmp)
 	out := e.sdict[:0]
 	for i, v := range e.sdict {
 		if i == 0 || v != out[len(out)-1] {
@@ -665,17 +668,18 @@ func (e *stripeEncoder) buildScoredDict() {
 	e.sdict = out
 }
 
-// scoredLess orders scored values by (value, score bit pattern).
-func scoredLess(a, b schema.ScoredValue) bool {
-	if a.Value != b.Value {
-		return a.Value < b.Value
+// scoredCmp orders scored values by (value, score bit pattern).
+func scoredCmp(a, b schema.ScoredValue) int {
+	if c := cmp.Compare(a.Value, b.Value); c != 0 {
+		return c
 	}
-	return math.Float32bits(a.Score) < math.Float32bits(b.Score)
+	return cmp.Compare(math.Float32bits(a.Score), math.Float32bits(b.Score))
 }
 
 // scoredDictIdx returns v's index in the sorted scored dictionary.
 func scoredDictIdx(dict []schema.ScoredValue, v schema.ScoredValue) uint32 {
-	return uint32(sort.Search(len(dict), func(i int) bool { return !scoredLess(dict[i], v) }))
+	i, _ := slices.BinarySearchFunc(dict, v, scoredCmp)
+	return uint32(i)
 }
 
 // encodeScoreList encodes a score-list feature column, with a

@@ -63,7 +63,7 @@ func fuzzSeedPayloads() [][]byte {
 			b = binary.LittleEndian.AppendUint64(b, 42)   // dict[0]
 			b = binary.LittleEndian.AppendUint32(b, 0)    // row
 			b = binary.LittleEndian.AppendUint32(b, 1)    // n
-			return append(b, 9) // idx 9 out of range
+			return append(b, 9)                           // idx 9 out of range
 		}(),
 	)
 	return seeds

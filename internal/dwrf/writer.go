@@ -6,7 +6,10 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dsi/internal/schema"
@@ -73,9 +76,9 @@ type Writer struct {
 	footer  FileFooter
 	closed  bool
 	stats   WriteStats
-	// enc holds the stripe encoder's scratch buffers; one per writer so
-	// steady-state stream encoding is allocation-free.
-	enc stripeEncoder
+	// lanes encode and compress a stripe's streams in parallel; built
+	// at the first flush that needs them and dropped by Close.
+	lanes []*encodeLane
 }
 
 // append routes one physical append through the cluster's idempotent
@@ -198,85 +201,159 @@ func scramble(id schema.FeatureID) uint32 {
 	return x
 }
 
-// appendStream compresses with zw, encrypts and appends one stream,
-// recording its metadata.
-func (w *Writer) appendStream(zw *flate.Writer, meta *StripeMeta, kind streamKind, feature schema.FeatureID, enc StreamEncoding, payload []byte) error {
-	comp, err := compress(zw, payload)
-	if err != nil {
-		return err
+// laneCells is the stripe work, in rows x streams, that pays for one
+// more encode lane (and its ~1.2 MiB compressor). An RM1 128-row stripe
+// (~140 streams) gets up to 3 lanes; a 32-row, 29-stream stripe gets 1.
+const laneCells = 8192
+
+// encodeLane encodes and compresses streams of a stripe flush. A writer
+// keeps its lanes, with their compressors and scratch buffers, from its
+// first flush until Close, so a partition of many stripes builds each
+// compressor once.
+type encodeLane struct {
+	enc stripeEncoder
+	zw  *flate.Writer
+}
+
+// stripeStream is one stream of a stripe flush: listed serially in
+// on-disk order, then encoded and compressed by whichever lane takes it.
+type stripeStream struct {
+	kind    streamKind
+	feature schema.FeatureID
+
+	comp   []byte // compressed, not yet encrypted
+	rawLen int64
+	enc    StreamEncoding
+	err    error
+}
+
+// encode fills s from the stripe's rows with this lane's encoder and
+// compressor.
+func (l *encodeLane) encode(rows []*schema.Sample, s *stripeStream, plainOnly bool) {
+	var payload []byte
+	s.enc = EncPlain
+	switch s.kind {
+	case streamRowData:
+		payload = l.enc.encodeRowData(rows)
+	case streamLabel:
+		payload = l.enc.encodeLabels(rows)
+	case streamDense:
+		payload, s.enc = l.enc.encodeDense(rows, s.feature, plainOnly)
+	case streamSparse:
+		payload, s.enc = l.enc.encodeSparse(rows, s.feature, plainOnly)
+	case streamScoreList:
+		payload, s.enc = l.enc.encodeScoreList(rows, s.feature, plainOnly)
 	}
-	// Fold the compressed (pre-encryption) bytes into the stripe's
-	// content hash: encryption IVs depend on file offsets, so hashing
-	// before the crypt pass keeps the digest a pure function of content.
-	meta.ContentHash = fnvMix(meta.ContentHash, comp)
-	if err := cryptStream(comp, w.offset); err != nil {
-		return err
+	s.rawLen = int64(len(payload))
+	s.comp, s.err = compress(l.zw, payload)
+}
+
+// listStreams returns the stripe's streams in on-disk order: the label
+// (or row-data) stream, then the features in streamLayout order.
+func (w *Writer) listStreams(rows []*schema.Sample) ([]stripeStream, error) {
+	if !w.opts.Flatten {
+		return []stripeStream{{kind: streamRowData}}, nil
 	}
-	if err := w.append(comp); err != nil {
-		return err
+	ids := w.streamLayout(rows)
+	streams := make([]stripeStream, 0, 1+len(ids))
+	streams = append(streams, stripeStream{kind: streamLabel})
+	for _, id := range ids {
+		col, ok := w.schema.Column(id)
+		if !ok {
+			return nil, fmt.Errorf("dwrf: sample has feature %d absent from schema %s", id, w.schema.Name)
+		}
+		var kind streamKind
+		switch col.Kind {
+		case schema.Dense:
+			kind = streamDense
+		case schema.Sparse:
+			kind = streamSparse
+		case schema.ScoreList:
+			kind = streamScoreList
+		default:
+			return nil, fmt.Errorf("dwrf: unknown feature kind %v", col.Kind)
+		}
+		streams = append(streams, stripeStream{kind: kind, feature: id})
 	}
-	meta.Streams = append(meta.Streams, StreamMeta{
-		Kind:      kind,
-		Feature:   feature,
-		Offset:    w.offset,
-		Length:    int64(len(comp)),
-		RawLength: int64(len(payload)),
-		Encoding:  enc,
-	})
-	w.offset += int64(len(comp))
+	return streams, nil
+}
+
+// encodeStreams encodes and compresses every stream on up to
+// min(GOMAXPROCS, 1 + rows*streams/laneCells) lanes. Lane 0 runs on
+// the calling goroutine; each lane takes the next stream index from a
+// shared counter. Every lane goroutine is joined before it returns.
+func (w *Writer) encodeStreams(rows []*schema.Sample, streams []stripeStream) error {
+	n := min(runtime.GOMAXPROCS(0), 1+len(rows)*len(streams)/laneCells, len(streams))
+	for len(w.lanes) < n {
+		zw, err := flate.NewWriter(nil, flate.BestSpeed)
+		if err != nil {
+			return fmt.Errorf("dwrf: flate: %w", err)
+		}
+		w.lanes = append(w.lanes, &encodeLane{zw: zw})
+	}
+	var next atomic.Int64
+	run := func(l *encodeLane) {
+		for i := next.Add(1) - 1; i < int64(len(streams)); i = next.Add(1) - 1 {
+			l.encode(rows, &streams[i], w.opts.PlainEncodings)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, l := range w.lanes[1:n] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(l)
+		}()
+	}
+	run(w.lanes[0])
+	wg.Wait()
+	for i := range streams {
+		if err := streams[i].err; err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// flushStripe encodes and persists the pending rows as one stripe.
+// flushStripe encodes and persists the pending rows as one stripe. The
+// lanes only encode and compress; the content hash, encryption (whose IV
+// is the stream's file offset) and the tokened appends run here in
+// on-disk order, so the file is the same whatever the lane count.
 func (w *Writer) flushStripe() error {
 	rows := w.pending
 	w.pending = nil
 	if len(rows) == 0 {
 		return nil
 	}
-	meta := StripeMeta{Offset: w.offset, Rows: len(rows)}
-	// One compressor serves every stream of this stripe and is dropped
-	// when the flush returns: a writer-lifetime one would pin ~1 MiB per
-	// open partition between stripes, and a shared pool would keep its
-	// writers alive across GCs.
-	zw, err := flate.NewWriter(nil, flate.BestSpeed)
+	streams, err := w.listStreams(rows)
 	if err != nil {
-		return fmt.Errorf("dwrf: flate: %w", err)
+		return err
 	}
-
-	if !w.opts.Flatten {
-		if err := w.appendStream(zw, &meta, streamRowData, 0, EncPlain, w.enc.encodeRowData(rows)); err != nil {
+	if err := w.encodeStreams(rows, streams); err != nil {
+		return err
+	}
+	meta := StripeMeta{Offset: w.offset, Rows: len(rows), Streams: make([]StreamMeta, 0, len(streams))}
+	for _, s := range streams {
+		// Fold the compressed (pre-encryption) bytes into the stripe's
+		// content hash: encryption IVs depend on file offsets, so
+		// hashing before the crypt pass keeps the digest a pure
+		// function of content.
+		meta.ContentHash = fnvMix(meta.ContentHash, s.comp)
+		if err := cryptStream(s.comp, w.offset); err != nil {
 			return err
 		}
-	} else {
-		if err := w.appendStream(zw, &meta, streamLabel, 0, EncPlain, w.enc.encodeLabels(rows)); err != nil {
+		if err := w.append(s.comp); err != nil {
 			return err
 		}
-		for _, id := range w.streamLayout(rows) {
-			col, ok := w.schema.Column(id)
-			if !ok {
-				return fmt.Errorf("dwrf: sample has feature %d absent from schema %s", id, w.schema.Name)
-			}
-			var payload []byte
-			var enc StreamEncoding
-			var kind streamKind
-			switch col.Kind {
-			case schema.Dense:
-				payload, enc = w.enc.encodeDense(rows, id, w.opts.PlainEncodings)
-				kind = streamDense
-			case schema.Sparse:
-				payload, enc = w.enc.encodeSparse(rows, id, w.opts.PlainEncodings)
-				kind = streamSparse
-			case schema.ScoreList:
-				payload, enc = w.enc.encodeScoreList(rows, id, w.opts.PlainEncodings)
-				kind = streamScoreList
-			default:
-				return fmt.Errorf("dwrf: unknown feature kind %v", col.Kind)
-			}
-			if err := w.appendStream(zw, &meta, kind, id, enc, payload); err != nil {
-				return err
-			}
-		}
+		meta.Streams = append(meta.Streams, StreamMeta{
+			Kind:      s.kind,
+			Feature:   s.feature,
+			Offset:    w.offset,
+			Length:    int64(len(s.comp)),
+			RawLength: s.rawLen,
+			Encoding:  s.enc,
+		})
+		w.offset += int64(len(s.comp))
 	}
 	meta.Length = w.offset - meta.Offset
 	w.footer.Stripes = append(w.footer.Stripes, meta)
@@ -288,6 +365,7 @@ func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
+	defer func() { w.lanes = nil }()
 	if err := w.flushStripe(); err != nil {
 		return err
 	}

@@ -106,8 +106,9 @@ type Table struct {
 	mu         sync.Mutex
 	partitions map[string]*Partition
 	unbounded  bool
-	closed     bool  // producer ended the stream (unbounded tables only)
-	generation int64 // bumped on every partition publish and stream close
+	closed     bool          // producer ended the stream (unbounded tables only)
+	generation int64         // bumped on every partition publish and stream close
+	changed    chan struct{} // closed and cleared at every generation bump
 }
 
 // Partition is one date-keyed slice of a table, stored as a single DWRF
@@ -264,7 +265,7 @@ func (pw *PartitionWriter) Close() error {
 	}
 	pw.table.mu.Lock()
 	pw.table.partitions[pw.key] = p
-	pw.table.generation++
+	pw.table.bumpLocked()
 	pw.table.mu.Unlock()
 	return nil
 }
@@ -314,9 +315,34 @@ func (t *Table) CloseStream() error {
 	}
 	if !t.closed {
 		t.closed = true
-		t.generation++
+		t.bumpLocked()
 	}
 	return nil
+}
+
+// bumpLocked advances the generation and wakes every Changed waiter.
+// Callers hold t.mu.
+func (t *Table) bumpLocked() {
+	t.generation++
+	if t.changed != nil {
+		close(t.changed)
+		t.changed = nil
+	}
+}
+
+// Changed returns a channel that is closed at the table's next
+// generation bump: a partition publish or CloseStream. Tailing
+// consumers wait on it instead of polling; take the channel before
+// reading the table, so a bump between the read and the wait is not
+// missed, and take a fresh one after it fires. It mirrors
+// logdevice.Store.Changed.
+func (t *Table) Changed() <-chan struct{} {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.changed == nil {
+		t.changed = make(chan struct{})
+	}
+	return t.changed
 }
 
 // Generation reports a counter bumped on every partition publish and on

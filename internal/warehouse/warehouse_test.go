@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dsi/internal/dwrf"
@@ -455,5 +456,118 @@ func TestNewPartitionReclaimsOrphanedFile(t *testing.T) {
 	}
 	if p.Rows != 8 {
 		t.Fatalf("retried partition rows = %d, want 8", p.Rows)
+	}
+}
+
+// fired reports whether ch is closed, without blocking.
+func fired(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestTableChangedFiresOnGenerationBumps pins Table.Changed: its channel
+// closes at a partition publish and at CloseStream, and at nothing else
+// a producer does (opening a partition, writing rows, aborting); after it
+// fires, Changed hands out a fresh open channel.
+func TestTableChangedFiresOnGenerationBumps(t *testing.T) {
+	wh := newWarehouse(t)
+	tbl, err := wh.CreateUnboundedTable("stream", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := tbl.Changed()
+	if tbl.Changed() != ch {
+		t.Fatal("Changed handed out two channels with no bump between")
+	}
+	pw, err := tbl.NewPartition("aborted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired(ch) {
+		t.Fatal("NewPartition closed the Changed channel")
+	}
+	writeRows(t, pw, 40, 1)
+	if fired(ch) {
+		t.Fatal("WriteRow closed the Changed channel")
+	}
+	if err := pw.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if fired(ch) {
+		t.Fatal("Abort closed the Changed channel")
+	}
+
+	fillPartition(t, tbl, "p1", 20, 1)
+	if !fired(ch) {
+		t.Fatal("publish did not close the Changed channel")
+	}
+	next := tbl.Changed()
+	if next == ch || fired(next) {
+		t.Fatal("Changed after a publish is not a fresh open channel")
+	}
+	if err := tbl.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired(next) {
+		t.Fatal("CloseStream did not close the Changed channel")
+	}
+	last := tbl.Changed()
+	if fired(last) {
+		t.Fatal("Changed after CloseStream is already closed")
+	}
+	if err := tbl.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	if fired(last) {
+		t.Fatal("an idempotent CloseStream (no generation bump) closed the Changed channel")
+	}
+}
+
+// TestTableChangedConcurrent races Changed callers against publishes
+// and the stream close (run it under -race): every distinct channel
+// taken before the close must be closed once the close returns.
+func TestTableChangedConcurrent(t *testing.T) {
+	wh := newWarehouse(t)
+	tbl, err := wh.CreateUnboundedTable("stream", testSchema(t), dwrf.WriterOptions{Flatten: true, RowsPerStripe: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	taken := make([][]<-chan struct{}, 4)
+	var wg sync.WaitGroup
+	for i := range taken {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ch := tbl.Changed(); len(taken[i]) == 0 || taken[i][len(taken[i])-1] != ch {
+					taken[i] = append(taken[i], ch)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		fillPartition(t, tbl, fmt.Sprintf("p%d", i), 20, int64(i))
+	}
+	close(stop)
+	wg.Wait()
+	if err := tbl.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+	for i, chans := range taken {
+		for j, ch := range chans {
+			if !fired(ch) {
+				t.Fatalf("caller %d's channel %d was taken before CloseStream and is still open", i, j)
+			}
+		}
 	}
 }

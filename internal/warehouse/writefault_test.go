@@ -28,8 +28,8 @@ func writeRows(t *testing.T, pw *PartitionWriter, rows int, seed int64) {
 // TestPartitionPublishFailureRollsBackVisibility pins the write-side
 // atomicity contract: a publish that fails (here the backing file's seal
 // keeps failing) leaves the table exactly as it was — no partition
-// entry, no generation bump — and Abort reclaims the orphan so the same
-// key can be re-produced once the storm lifts.
+// entry, no generation bump, no Changed wake-up — and Abort reclaims the
+// orphan so the same key can be re-produced once the storm lifts.
 func TestPartitionPublishFailureRollsBackVisibility(t *testing.T) {
 	cluster, err := tectonic.NewCluster(tectonic.Options{
 		Nodes: 4, Replication: 2, ChunkSize: 1 << 20,
@@ -46,6 +46,7 @@ func TestPartitionPublishFailureRollsBackVisibility(t *testing.T) {
 
 	cluster.SetFaultSchedule(faults.NewSchedule(5).FailSeals(0, 0, 1))
 	genBefore := tbl.Generation()
+	changed := tbl.Changed()
 	pw, err := tbl.NewPartition("day1")
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +61,14 @@ func TestPartitionPublishFailureRollsBackVisibility(t *testing.T) {
 	if tbl.Generation() != genBefore {
 		t.Fatalf("failed publish bumped generation %d -> %d", genBefore, tbl.Generation())
 	}
+	if fired(changed) {
+		t.Fatal("failed publish closed the Changed channel")
+	}
 	if err := pw.Abort(); err != nil {
 		t.Fatal(err)
+	}
+	if fired(changed) {
+		t.Fatal("Abort closed the Changed channel")
 	}
 	if cluster.Exists("warehouse/rm/day1.dwrf") {
 		t.Fatal("Abort left the orphan backing file behind")
@@ -86,5 +93,8 @@ func TestPartitionPublishFailureRollsBackVisibility(t *testing.T) {
 	}
 	if tbl.Generation() != genBefore+1 {
 		t.Fatalf("generation = %d, want exactly one bump", tbl.Generation())
+	}
+	if !fired(changed) {
+		t.Fatal("publish did not close the Changed channel")
 	}
 }
